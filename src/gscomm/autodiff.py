@@ -290,33 +290,30 @@ def conv2d(x, kernel, stride=1, padding=0):
     if h_out < 1 or w_out < 1:
         raise ValueError("conv2d output would be empty")
 
+    # im2col: cols[b, (c, di, dj), (i, j)] = xp[b, c, stride*i + di, stride*j + dj],
+    # so every pass is one matmul over the C_in*k*k axis and the output is NCHW.
     xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out_data = np.zeros((b, c_out, h_out, w_out))
-    for di in range(kh):
-        for dj in range(kw):
-            patch = xp[:, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride]
-            out_data += np.einsum("bchw,oc->bohw", patch, kernel.data[:, :, di, dj])
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_in * kh * kw, h_out * w_out)
+    kmat = kernel.data.reshape(c_out, c_in * kh * kw)
+    out_data = (kmat @ cols).reshape(b, c_out, h_out, w_out)
 
     out = Tensor(out_data[0] if squeeze else out_data, (x, kernel))
 
     def bwd(g):
-        gb = g[None] if squeeze else g
+        gb = g.reshape(b, c_out, h_out * w_out)
         if kernel.requires_grad:
-            gk = np.zeros_like(kernel.data)
-            for di in range(kh):
-                for dj in range(kw):
-                    patch = xp[
-                        :, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride
-                    ]
-                    gk[:, :, di, dj] = np.einsum("bohw,bchw->oc", gb, patch)
-            kernel._accumulate(gk)
+            gk = (gb @ cols.transpose(0, 2, 1)).sum(axis=0)
+            kernel._accumulate(gk.reshape(kernel.data.shape))
         if x.requires_grad:
+            gcols = (kmat.T @ gb).reshape(b, c_in, kh, kw, h_out, w_out)
             gxp = np.zeros_like(xp)
             for di in range(kh):
                 for dj in range(kw):
                     gxp[
                         :, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride
-                    ] += np.einsum("bohw,oc->bchw", gb, kernel.data[:, :, di, dj])
+                    ] += gcols[:, :, di, dj]
             gx = gxp[:, :, padding : padding + h, padding : padding + w]
             x._accumulate(gx[0] if squeeze else gx)
 

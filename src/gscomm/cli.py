@@ -145,6 +145,14 @@ def _load_ssae(cfg, seed):
     return ssae
 
 
+def _write_log(path, losses, learning_rate):
+    """Per-step training log: one `step,loss,learning_rate` CSV row per step."""
+    with open(path, "w") as fh:
+        fh.write("step,loss,learning_rate\n")
+        for i, loss in enumerate(losses):
+            fh.write(f"{i},{loss!r},{learning_rate!r}\n")
+
+
 def cmd_train_mae(args):
     cfg = parse_config(args.config)
     data = _dataset(cfg, args.seed)
@@ -154,10 +162,7 @@ def cmd_train_mae(args):
     )
     save_params(args.out, student.params)
     if args.log:
-        with open(args.log, "w") as fh:
-            fh.write("step,loss,learning_rate\n")
-            for i, loss in enumerate(losses):
-                fh.write(f"{i},{loss!r},{budget.distill_lr!r}\n")
+        _write_log(args.log, losses, budget.distill_lr)
     print(f"wrote {args.out} (final loss {losses[-1]:.4f})")
 
 
@@ -174,10 +179,7 @@ def cmd_train_ssae(args):
     ssae, losses = train_ssae_on(images, masks3, _ssae_config(cfg), budget, args.seed)
     ssae.save(args.out)
     if args.log:
-        with open(args.log, "w") as fh:
-            fh.write("step,loss,learning_rate\n")
-            for i, loss in enumerate(losses):
-                fh.write(f"{i},{loss!r},{budget.ssae_lr!r}\n")
+        _write_log(args.log, losses, budget.ssae_lr)
     print(f"wrote {args.out} (final loss {losses[-1]:.4f})")
 
 
@@ -198,6 +200,8 @@ def cmd_finetune(args):
         backbone_params=backbone,
     )
     save_params(args.out, model.params)
+    if args.log:
+        _write_log(args.log, losses, budget.finetune_lr)
     print(f"wrote {args.out} (final loss {losses[-1]:.4f})")
 
 
@@ -319,6 +323,7 @@ def main(argv=None):
 
     p = sub.add_parser("finetune", help="fine-tune the classifier head")
     common(p)
+    p.add_argument("--log", default=None)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("encode", help="PPM image -> .gscf frame")

@@ -321,6 +321,9 @@ def rle_decode(bits, count, num_colors, run_bits):
 # ---------------------------------------------------------------------------
 
 
+MAX_RLE_BITS = 0xFFFF  # the frame stores the RLE bit count as a u16
+
+
 @dataclass
 class RefinementPlan:
     psi: float
@@ -359,8 +362,9 @@ def _patch_pixels(image, patch_index, patch_size):
 def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bits,
                     seed=0):
     """Select refinement patches, build the palette, and RLE-code the indices."""
-    if not 2 <= palette_size <= 256:
-        raise ValueError("palette size must lie in [2, 256]")
+    # the frame header stores F as a u8
+    if not 2 <= palette_size <= 255:
+        raise ValueError("palette size must lie in [2, 255]")
     if not 1 <= run_bits <= 8:
         raise ValueError("run-length field width must lie in [1, 8]")
     if not 0 <= eta <= 1:
@@ -395,6 +399,10 @@ def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bit
     d = ((pixels[:, None, :] * 255.0 - palette[None, :, :].astype(np.float64)) ** 2).sum(axis=2)
     indices = d.argmin(axis=1)
     rle_bits = rle_encode(indices, palette_size, run_bits)
+    if rle_bits.size > MAX_RLE_BITS:
+        raise ValueError(
+            f"RLE stream of {rle_bits.size} bits exceeds the frame's limit of {MAX_RLE_BITS}"
+        )
 
     return RefinementPlan(
         psi=psi,

@@ -42,10 +42,8 @@ class ViTConfig:
 
 @dataclass
 class AttentionInternals:
-    """Per-head Q, K and row-stochastic attention matrices of one block."""
+    """Per-head row-stochastic attention matrices of one block."""
 
-    q: list = field(default_factory=list)  # each (T+1, C/heads)
-    k: list = field(default_factory=list)
     s: list = field(default_factory=list)  # each (T+1, T+1)
 
 
@@ -141,8 +139,6 @@ def vit_forward(image, config, params, prefix=""):
             s = ad.softmax((q @ k.T) * scale)
             heads.append(s @ v)
             if last:
-                internals.q.append(q.data.copy())
-                internals.k.append(k.data.copy())
                 internals.s.append(s.data.copy())
         x = x + ad.concat(heads, axis=1) @ params[b + "wo"].value
         h2 = ad.layernorm(x)

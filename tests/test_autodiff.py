@@ -8,7 +8,45 @@ from gscomm import autodiff as ad
 from gscomm.autodiff import BatchNormState, Parameter, Tensor
 
 
+def _conv2d_reference(x, k, stride, padding, g):
+    """Direct nested-loop cross-correlation, with the gradients of sum(out * g)."""
+    squeeze = x.ndim == 3
+    xb = x[None] if squeeze else x
+    gb = g[None] if squeeze else g
+    size = k.shape[2]
+    xp = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros(gb.shape)
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for n, o, i, j in np.ndindex(*out.shape):
+        rows = slice(i * stride, i * stride + size)
+        cols = slice(j * stride, j * stride + size)
+        out[n, o, i, j] = (xp[n, :, rows, cols] * k[o]).sum()
+        gxp[n, :, rows, cols] += gb[n, o, i, j] * k[o]
+        gk[o] += gb[n, o, i, j] * xp[n, :, rows, cols]
+    gx = gxp[:, :, padding : padding + xb.shape[2], padding : padding + xb.shape[3]]
+    return (out[0], gx[0], gk) if squeeze else (out, gx, gk)
+
+
 class TestConv2d:
+    # H=8 leaves a remainder for stride 2 and 3 (= k); W=7 for stride 3
+    @pytest.mark.parametrize("x_shape", [(2, 8, 7), (1, 2, 8, 7), (3, 2, 8, 7)])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_nested_loop_reference(self, rng, x_shape, stride, padding):
+        x = rng.standard_normal(x_shape)
+        k = rng.standard_normal((3, 2, 3, 3))
+        xt = Tensor(x, requires_grad=True)
+        kt = Tensor(k, requires_grad=True)
+        out = ad.conv2d(xt, kt, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        (out * g).sum().backward()
+        ref_out, ref_gx, ref_gk = _conv2d_reference(x, k, stride, padding, g)
+        assert out.shape == ref_out.shape
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(xt.grad, ref_gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kt.grad, ref_gk, rtol=0, atol=1e-12)
+
     def test_center_value_all_ones(self):
         x = np.ones((1, 3, 3))
         k = np.ones((1, 1, 3, 3))
@@ -22,7 +60,7 @@ class TestConv2d:
         assert np.all(out.data == 0)
 
     def test_channel_mismatch(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="conv2d channel mismatch"):
             ad.conv2d(Tensor(rng.random((2, 4, 4))), Tensor(rng.random((1, 3, 3, 3))))
 
     def test_gradients(self, rng):
@@ -37,6 +75,22 @@ class TestConv2d:
         k = rng.standard_normal((2, 1, 3, 3))
         check_gradients(
             lambda a, b: ad.conv2d(a, b, stride=2, padding=1).sum(), [x, k]
+        )
+
+    def test_gradients_patch_embed(self, rng):
+        x = rng.standard_normal((3, 16, 16))
+        k = rng.standard_normal((4, 3, 8, 8))
+        w = rng.standard_normal((4, 2, 2))
+        check_gradients(
+            lambda a, b: (ad.conv2d(a, b, stride=8, padding=0) * w).sum(), [x, k]
+        )
+
+    def test_gradients_batched(self, rng):
+        x = rng.standard_normal((2, 2, 5, 5))
+        k = rng.standard_normal((3, 2, 3, 3))
+        w = rng.standard_normal((2, 3, 5, 5))
+        check_gradients(
+            lambda a, b: (ad.conv2d(a, b, stride=1, padding=1) * w).sum(), [x, k]
         )
 
 

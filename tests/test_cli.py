@@ -80,6 +80,19 @@ def test_train_mae_writes_log(tmp_path, tiny_config):
     assert len(lines) == 3  # header + 2 steps
 
 
+def test_finetune_writes_log(tmp_path, tiny_config):
+    cfg = tmp_path / "ft.cfg"
+    cfg.write_text(tiny_config.read_text() + "finetune_lr = 0.02\n")
+    log = tmp_path / "ft.csv"
+    main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "clf.ckpt"),
+          "--log", str(log), "--seed", "1"])
+    lines = log.read_text().strip().split("\n")
+    assert lines[0] == "step,loss,learning_rate"
+    assert len(lines) == 3  # header + 2 steps
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    assert all(line.split(",")[2] == "0.02" for line in lines[1:])
+
+
 def test_evaluate_and_sweep(tmp_path, tiny_config):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text(tiny_config.read_text() + "ber = 0\ngrid = 0,0.01\n")

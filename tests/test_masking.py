@@ -15,7 +15,7 @@ from gscomm.vit import AttentionInternals, ViTConfig
 
 
 def make_internals(s_matrices):
-    return AttentionInternals(q=[], k=[], s=list(s_matrices))
+    return AttentionInternals(s=list(s_matrices))
 
 
 class TestClsAttentionMaps:

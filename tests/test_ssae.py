@@ -247,6 +247,18 @@ class TestPlanRefinement:
         assert np.array_equal(a.rle_bits, b.rle_bits)
         assert np.array_equal(a.flags, b.flags)
 
+    def test_palette_wider_than_header_field_rejected(self, rng):
+        image = rng.random((3, 16, 16))
+        with pytest.raises(ValueError, match="palette size"):
+            plan_refinement(image, image, full_mask(16, 16, 8), 1e-3, 0.5, 256, 4)
+
+    def test_rle_longer_than_header_field_rejected(self, rng):
+        # 9216 refined pixels of noise: nearly every pixel starts a 12-bit record
+        image = rng.random((3, 96, 96))
+        mask = full_mask(96, 96, 8)
+        with pytest.raises(ValueError, match="RLE stream"):
+            plan_refinement(image, image, mask, 1e-3, 1.0, 16, 8)
+
     def test_eta_bookkeeping(self, rng):
         image = rng.random((3, 32, 32))
         recon = rng.random((3, 32, 32))
