@@ -15,7 +15,7 @@ from .errors import (
 from .framing import frame_size_bits, parse_frame, serialize_frame
 from .masking import MaskParams, SemanticMask, apply_mask, build_semantic_mask, cls_attention_maps
 from .metrics import masked_psnr
-from .pipeline import PipelineModels, RefineParams, run_end_to_end, sweep
+from .pipeline import PipelineModels, RefineParams, receive, run_end_to_end, sweep, transmit
 from .ssae import SSAE, SSAEConfig, apply_refinement, kmeans_palette, plan_refinement, quantize
 from .vit import ViT, ViTConfig, patchify, unpatchify, vit_forward
 

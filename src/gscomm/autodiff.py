@@ -80,9 +80,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 from .checkpoint import clone_params
 from .distill import _clamp_min
 from .vit import init_vit_params, vit_forward
@@ -17,7 +17,6 @@ from .vit import init_vit_params, vit_forward
 @dataclass
 class ClassifierConfig:
     num_classes: int = 4
-    labeled_fraction: float = 0.1
     lr: float = 0.05
     steps: int = 200
     batch_size: int = 8
@@ -26,8 +25,6 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        if not 0 < self.labeled_fraction <= 1:
-            raise ValueError("labeled_fraction must lie in (0, 1]")
 
 
 @dataclass

@@ -17,21 +17,22 @@ from .checkpoint import load_params, save_params
 from .classifier import ClassifierModel
 from .datasets import load_stl10_binary, read_ppm, synthetic_dataset, write_ppm
 from .distill import DistillConfig, MaskingNetwork
-from .framing import bits_to_bytes, bytes_to_bits, parse_frame, serialize_frame
-from .masking import MaskParams, apply_mask, write_pbm
+from .framing import bits_to_bytes, bytes_to_bits
+from .masking import MaskParams, write_pbm
 from .pipeline import (
     PipelineModels,
     RefineParams,
-    ReportRow,
     TrainBudget,
+    receive,
     report_csv,
     run_end_to_end,
     sweep,
     train_classifier_on,
     train_masker,
     train_ssae_on,
+    transmit,
 )
-from .ssae import SSAE, SSAEConfig, apply_refinement, plan_refinement
+from .ssae import SSAE, SSAEConfig
 from .vit import ViTConfig
 
 
@@ -185,9 +186,11 @@ def cmd_train_ssae(args):
 
 def cmd_finetune(args):
     cfg = parse_config(args.config)
+    frac = _float(cfg, "labeled_fraction", 0.1)
+    if not 0 < frac <= 1:
+        raise ValueError("labeled_fraction must lie in (0, 1]")
     data = _dataset(cfg, args.seed)
     budget = _budget(cfg)
-    frac = _float(cfg, "labeled_fraction", 0.1)
     rng = np.random.default_rng(args.seed)
     n_labeled = max(1, int(round(frac * len(data))))
     idx = rng.choice(len(data), size=n_labeled, replace=False)
@@ -207,20 +210,8 @@ def cmd_finetune(args):
 
 def cmd_encode(args):
     cfg = parse_config(args.config)
-    image = read_ppm(args.input)
-    masker = _load_masker(cfg, args.seed)
-    ssae = _load_ssae(cfg, args.seed)
-    refine = _refine_params(cfg)
-    mask = masker.semantic_mask(image)
-    masked = apply_mask(image, mask)
-    _, quantized = ssae.encode_quantize(masked)
-    recon = ssae.decode(quantized)
-    plan = plan_refinement(
-        masked, recon, mask, refine.psi, refine.eta, refine.palette_size,
-        refine.run_bits, seed=args.seed,
-    )
-    dims = (image.shape[1], image.shape[2], masker.vit_config.patch_size)
-    frame = serialize_frame(quantized, plan, ssae.config, dims)
+    models = PipelineModels(_load_masker(cfg, args.seed), _load_ssae(cfg, args.seed))
+    frame, mask = transmit(read_ppm(args.input), models, _refine_params(cfg), args.seed)
     with open(args.out, "wb") as fh:
         fh.write(frame)
     if args.mask_out:
@@ -233,9 +224,7 @@ def cmd_decode(args):
     ssae = _load_ssae(cfg, args.seed)
     with open(args.input, "rb") as fh:
         frame = fh.read()
-    quantized, plan, _ = parse_frame(frame)
-    recon = apply_refinement(ssae.decode(quantized), plan)
-    write_ppm(args.out, recon)
+    write_ppm(args.out, receive(frame, ssae))
     print(f"wrote {args.out}")
 
 

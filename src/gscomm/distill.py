@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .masking import MaskParams, apply_mask, build_semantic_mask, cls_attention_maps
-from .vit import ViTConfig, init_vit_params, patchify, unpatchify, vit_forward
+from .vit import init_vit_params, patchify, unpatchify, vit_forward
 
 LOG_FLOOR = 1e-12
 LUMA = np.array([0.299, 0.587, 0.114])

@@ -86,15 +86,6 @@ def mask_from_array(mask2d):
     )
 
 
-def compute_mask(image, config, params, mask_params):
-    """Full path: backbone forward -> CLS maps -> semantic mask."""
-    from .vit import vit_forward
-
-    _, internals = vit_forward(image, config, params)
-    maps = cls_attention_maps(internals, config)
-    return build_semantic_mask(maps, mask_params, (config.img_h, config.img_w))
-
-
 def write_pbm(path, mask2d):
     """Export a binary mask as plain-text PBM (P1)."""
     mask2d = np.asarray(mask2d)

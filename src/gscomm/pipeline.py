@@ -4,19 +4,18 @@ refine -> classify, with per-image reports and grid sweeps."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .channel import CODECS, ChannelConfig, measure_ber
-from .classifier import ClassifierConfig, ClassifierModel, classify, evaluate_accuracy, finetune
-from .distill import DistillConfig, MaskingNetwork, train_step_distill
+from .classifier import ClassifierConfig, ClassifierModel, classify, finetune
+from .distill import MaskingNetwork, train_step_distill
 from .errors import CorruptFrameError, UndefinedMetricError, UnsupportedFormatError
-from .framing import bits_to_bytes, bytes_to_bits, frame_size_bits, parse_frame, serialize_frame
+from .framing import bits_to_bytes, bytes_to_bits, parse_frame, serialize_frame
 from .masking import apply_mask
 from .metrics import masked_psnr
-from .ssae import SSAE, SSAEConfig, apply_refinement, plan_refinement
-from .vit import ViTConfig
+from .ssae import SSAE, apply_refinement, plan_refinement
 
 
 @dataclass
@@ -49,21 +48,31 @@ class PipelineModels:
             self.fec = CODECS["identity"]
 
 
-def run_end_to_end(image, models, refine, channel, label=None, seed=0):
-    """One image through the full chain; returns (reconstruction, prediction, row)."""
+def transmit(image, models, refine, seed=0):
+    """Transmitter half: mask, encode, plan, serialize; returns (frame bytes, mask)."""
     image = np.asarray(image, dtype=np.float64)
     mask = models.masker.semantic_mask(image)
     masked = apply_mask(image, mask)
     _, quantized = models.ssae.encode_quantize(masked)
-    local_recon = models.ssae.decode(quantized)
     plan = plan_refinement(
-        masked, local_recon, mask, refine.psi, refine.eta,
+        masked, models.ssae.decode(quantized), mask, refine.psi, refine.eta,
         refine.palette_size, refine.run_bits, seed=seed,
     )
-    ssae_cfg = models.ssae.config
     dims = (image.shape[1], image.shape[2], models.masker.vit_config.patch_size)
-    frame = serialize_frame(quantized, plan, ssae_cfg, dims)
-    payload_bits = frame_size_bits(ssae_cfg, dims, plan)
+    return serialize_frame(quantized, plan, models.ssae.config, dims), mask
+
+
+def receive(frame, ssae):
+    """Receiver half: parse, decode, refine. Rejects with CorruptFrameError or
+    UnsupportedFormatError."""
+    quantized, plan, _ = parse_frame(frame)
+    return apply_refinement(ssae.decode(quantized), plan)
+
+
+def run_end_to_end(image, models, refine, channel, label=None, seed=0):
+    """One image through the full chain; returns (reconstruction, prediction, row)."""
+    frame, mask = transmit(image, models, refine, seed)
+    payload_bits = 8 * len(frame)
 
     sent = bytes_to_bits(frame)
     coded = models.fec.encode(sent)
@@ -73,9 +82,7 @@ def run_end_to_end(image, models, refine, channel, label=None, seed=0):
 
     fraction = float(mask.mask.mean())
     try:
-        rx_quantized, rx_plan, _ = parse_frame(bits_to_bytes(decoded)[: len(frame)])
-        recon = models.ssae.decode(rx_quantized)
-        recon = apply_refinement(recon, rx_plan)
+        recon = receive(bits_to_bytes(decoded)[: len(frame)], models.ssae)
     except (CorruptFrameError, UnsupportedFormatError) as exc:
         row = ReportRow(payload_bits, ber, math.nan, math.nan, fraction, failure=str(exc))
         return None, None, row
@@ -93,11 +100,10 @@ def run_end_to_end(image, models, refine, channel, label=None, seed=0):
     return recon, pred, row
 
 
-REPORT_COLUMNS = (
-    "payload_bits,measured_ber,masked_psnr_db,accuracy,non_masked_pixel_fraction,failure"
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 SWEEP_COLUMNS = (
-    "grid_value,replicate,mean_masked_psnr_db,mean_accuracy,mean_payload_bits,failures"
+    "grid_value", "replicate", "mean_masked_psnr_db", "mean_accuracy",
+    "mean_payload_bits", "failures",
 )
 
 
@@ -107,40 +113,32 @@ def _fmt(x):
     return str(x)
 
 
-def report_csv(rows):
-    lines = [REPORT_COLUMNS]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.payload_bits,
-                    r.measured_ber,
-                    r.masked_psnr_db,
-                    r.accuracy,
-                    r.non_masked_pixel_fraction,
-                    r.failure,
-                )
-            )
-        )
+def _csv(columns, rows):
+    """Header line, then one line per row; each row maps column name -> value."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(r[c]) for c in columns) for r in rows]
     return "\n".join(lines) + "\n"
+
+
+def report_csv(rows):
+    return _csv(REPORT_COLUMNS, [vars(r) for r in rows])
 
 
 def sweep(examples, grid_values, models, refine, replicates=1, base_seed=0,
           mode="bsc_ber"):
-    """Grid sweep; one CSV row per (grid value, replicate). Returns (rows, csv)."""
+    """Grid sweep; one CSV row per (grid value, replicate). Returns (rows, csv).
+
+    `mode` is a ChannelConfig mode: each grid value is a BER or an SNR in dB.
+    """
     if not grid_values:
         raise ValueError("grid must be non-empty")
     out = []
     for gi, value in enumerate(grid_values):
+        channel = ChannelConfig(mode=mode, ber=value, snr_db=value, seed=0)
         for rep in range(replicates):
             psnrs, accs, payloads, failures = [], [], [], 0
             for ii, (image, label) in enumerate(examples):
                 seed = base_seed + 1_000_003 * gi + 7919 * rep + ii
-                if mode == "bsc_ber":
-                    channel = ChannelConfig(mode="bsc_ber", ber=value, seed=0)
-                else:
-                    channel = ChannelConfig(mode="awgn_snr_db", snr_db=value, seed=0)
                 _, _, row = run_end_to_end(
                     image, models, refine, channel, label=label, seed=seed
                 )
@@ -162,22 +160,7 @@ def sweep(examples, grid_values, models, refine, replicates=1, base_seed=0,
                     "failures": failures,
                 }
             )
-    lines = [SWEEP_COLUMNS]
-    for r in out:
-        lines.append(
-            ",".join(
-                _fmt(r[c])
-                for c in (
-                    "grid_value",
-                    "replicate",
-                    "mean_masked_psnr_db",
-                    "mean_accuracy",
-                    "mean_payload_bits",
-                    "failures",
-                )
-            )
-        )
-    return out, "\n".join(lines) + "\n"
+    return out, _csv(SWEEP_COLUMNS, out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ attention weight and reconstruction error, K-means palette, RLE)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -353,12 +353,6 @@ class RefinementPlan:
         )
 
 
-def _patch_pixels(image, patch_index, patch_size):
-    """Raster-order (P*P, 3) pixel block of one patch."""
-    vec = patchify(image, patch_size)[patch_index]
-    return vec.reshape(3, patch_size, patch_size).transpose(1, 2, 0).reshape(-1, 3)
-
-
 def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bits,
                     seed=0):
     """Select refinement patches, build the palette, and RLE-code the indices."""
@@ -392,7 +386,10 @@ def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bit
     flags = np.zeros(t, dtype=np.uint8)
     flags[refined] = 1
 
-    pixels = np.vstack([_patch_pixels(image, int(i), patch_size) for i in refined])
+    # (n, 3) pixels, patch by patch in raster order; a transposed (3, n) array,
+    # because k-means runs about twice as fast with each channel contiguous
+    pixels = img_patches[refined].reshape(-1, 3, patch_size**2).transpose(1, 0, 2)
+    pixels = pixels.reshape(3, -1).T
     centers, _ = kmeans_palette(pixels, palette_size, seed)
     palette = np.clip(np.rint(centers * 255.0), 0, 255).astype(np.uint8)
     # assign against the byte-quantized palette so receiver-side fills are exact

@@ -73,7 +73,7 @@ def unpatchify(patches, patch_size, img_h, img_w, channels=3):
     )
 
 
-def init_vit_params(config, rng, learnable=True, prefix=""):
+def init_vit_params(config, rng, learnable=True):
     """Fresh parameter dict for one backbone."""
 
     def make(shape, scale=0.02):
@@ -81,13 +81,13 @@ def init_vit_params(config, rng, learnable=True, prefix=""):
 
     p = {}
     c = config.dim
-    p[prefix + "patch_embed.kernel"] = make((c, 3, config.patch_size, config.patch_size))
-    p[prefix + "patch_embed.bias"] = Parameter(np.zeros(c), learnable=learnable)
-    p[prefix + "cls_token"] = make((c,))
-    p[prefix + "pos_embed"] = make((config.num_patches, c))
+    p["patch_embed.kernel"] = make((c, 3, config.patch_size, config.patch_size))
+    p["patch_embed.bias"] = Parameter(np.zeros(c), learnable=learnable)
+    p["cls_token"] = make((c,))
+    p["pos_embed"] = make((config.num_patches, c))
     hidden = config.mlp_ratio * c
     for u in range(config.blocks):
-        b = f"{prefix}blk{u}."
+        b = f"blk{u}."
         p[b + "wq"] = make((c, c))
         p[b + "wk"] = make((c, c))
         p[b + "wv"] = make((c, c))
@@ -99,7 +99,7 @@ def init_vit_params(config, rng, learnable=True, prefix=""):
     return p
 
 
-def vit_forward(image, config, params, prefix=""):
+def vit_forward(image, config, params):
     """Run the backbone; returns ((T+1)xC token Tensor, final-block internals)."""
     image = image if isinstance(image, Tensor) else Tensor(image)
     if image.data.shape != (3, config.img_h, config.img_w):
@@ -112,20 +112,20 @@ def vit_forward(image, config, params, prefix=""):
 
     emb = ad.conv2d(
         image,
-        params[prefix + "patch_embed.kernel"].value,
+        params["patch_embed.kernel"].value,
         stride=config.patch_size,
         padding=0,
     )
-    patch_tokens = emb.reshape(c, t).T + params[prefix + "patch_embed.bias"].value
-    patch_tokens = patch_tokens + params[prefix + "pos_embed"].value
-    cls = params[prefix + "cls_token"].value.reshape(1, c)
+    patch_tokens = emb.reshape(c, t).T + params["patch_embed.bias"].value
+    patch_tokens = patch_tokens + params["pos_embed"].value
+    cls = params["cls_token"].value.reshape(1, c)
     x = ad.concat([cls, patch_tokens], axis=0)
 
     d = config.head_dim
     scale = 1.0 / np.sqrt(d)
     internals = None
     for u in range(config.blocks):
-        b = f"{prefix}blk{u}."
+        b = f"blk{u}."
         h = ad.layernorm(x)
         heads = []
         last = u == config.blocks - 1

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from gscomm.cli import main, parse_config
+from gscomm.channel import ChannelConfig
+from gscomm.cli import _models, _refine_params, main, parse_config
 from gscomm.datasets import read_ppm, write_ppm
+from gscomm.framing import parse_frame
+from gscomm.pipeline import receive, run_end_to_end, transmit
 
 
 @pytest.fixture
@@ -91,6 +94,46 @@ def test_finetune_writes_log(tmp_path, tiny_config):
     assert len(lines) == 3  # header + 2 steps
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
     assert all(line.split(",")[2] == "0.02" for line in lines[1:])
+
+
+def test_encode_and_decode_are_the_pipeline_halves(tmp_path, tiny_config):
+    cfg = tmp_path / "seam.cfg"
+    cfg.write_text(tiny_config.read_text() + "psi = 0\n")  # every patch may be refined
+    image = np.random.default_rng(4).random((3, 16, 16))
+    ppm = tmp_path / "in.ppm"
+    write_ppm(ppm, image)
+    image = read_ppm(ppm)
+    frame_path, ppm_out = tmp_path / "x.gscf", tmp_path / "out.ppm"
+    main(["encode", "--config", str(cfg), "--in", str(ppm), "--out", str(frame_path),
+          "--seed", "3"])
+    main(["decode", "--config", str(cfg), "--in", str(frame_path), "--out", str(ppm_out),
+          "--seed", "3"])
+
+    models = _models(parse_config(cfg), 3)
+    refine = _refine_params(parse_config(cfg))
+    frame, _ = transmit(image, models, refine, seed=3)
+    assert frame_path.read_bytes() == frame
+    assert parse_frame(frame)[1].t_prime > 0
+    recon = receive(frame, models.ssae)
+    expected_ppm = tmp_path / "expected.ppm"
+    write_ppm(expected_ppm, recon)
+    assert ppm_out.read_bytes() == expected_ppm.read_bytes()
+
+    clean = ChannelConfig(mode="bsc_ber", ber=0.0, seed=0)
+    end_to_end, _, row = run_end_to_end(image, models, refine, clean, seed=3)
+    assert row.failure == "" and row.payload_bits == 8 * len(frame)
+    assert np.array_equal(end_to_end, recon)
+
+
+@pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5"])
+def test_finetune_rejects_labeled_fraction_outside_unit_interval(tmp_path, tiny_config,
+                                                                  fraction):
+    cfg = tmp_path / "ft.cfg"
+    cfg.write_text(tiny_config.read_text() + f"labeled_fraction = {fraction}\n")
+    ckpt = tmp_path / "clf.ckpt"
+    with pytest.raises(ValueError, match=r"labeled_fraction must lie in \(0, 1\]"):
+        main(["finetune", "--config", str(cfg), "--out", str(ckpt)])
+    assert not ckpt.exists()
 
 
 def test_evaluate_and_sweep(tmp_path, tiny_config):

@@ -282,3 +282,14 @@ class TestReportAndSweep:
     def test_empty_grid(self, small_models):
         with pytest.raises(ValueError):
             sweep([], [], small_models, RefineParams())
+
+    def test_unknown_mode_raises(self, small_models, rng):
+        examples = [(rng.random((3, 32, 32)), 0)]
+        with pytest.raises(ValueError, match="unknown channel mode 'bsc'"):
+            sweep(examples, [0.01], small_models, RefineParams(), mode="bsc")
+
+    def test_awgn_mode_uses_grid_as_snr(self, small_models, rng):
+        examples = [(rng.random((3, 32, 32)), 0)]
+        rows, _ = sweep(examples, [100.0], small_models, RefineParams(),
+                        mode="awgn_snr_db")
+        assert rows[0]["failures"] == 0  # 100 dB: no bit errors, so no rejected frame

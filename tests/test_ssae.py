@@ -259,6 +259,27 @@ class TestPlanRefinement:
         with pytest.raises(ValueError, match="RLE stream"):
             plan_refinement(image, image, mask, 1e-3, 1.0, 16, 8)
 
+    def test_palette_and_rle_code_refined_pixels_in_raster_order(self, rng):
+        # loop reference: each refined patch's pixels sliced from the image, patch
+        # by patch in raster order, rows then columns inside a patch
+        image = rng.random((3, 16, 24))
+        recon = rng.random((3, 16, 24))
+        p = 8
+        mask = full_mask(16, 24, p, weights=rng.random(6) * 0.01)
+        plan = plan_refinement(image, recon, mask, 1e-3, 0.7, 5, 3, seed=2)
+        assert plan.t_prime >= 2
+        blocks = []
+        for patch_index in np.flatnonzero(plan.flags):
+            gi, gj = divmod(int(patch_index), 24 // p)
+            block = image[:, gi * p : (gi + 1) * p, gj * p : (gj + 1) * p]
+            blocks.extend(block[:, y, x] for y in range(p) for x in range(p))
+        pixels = np.array(blocks)
+        centers, _ = kmeans_palette(pixels, 5, 2)
+        palette = np.clip(np.rint(centers * 255.0), 0, 255).astype(np.uint8)
+        d = ((pixels[:, None, :] * 255.0 - palette[None].astype(np.float64)) ** 2).sum(axis=2)
+        assert np.array_equal(plan.palette, palette)
+        assert np.array_equal(plan.rle_bits, rle_encode(d.argmin(axis=1), 5, 3))
+
     def test_eta_bookkeeping(self, rng):
         image = rng.random((3, 32, 32))
         recon = rng.random((3, 32, 32))
