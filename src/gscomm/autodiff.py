@@ -143,11 +143,13 @@ class Tensor:
         out._backward = bwd
         return out
 
-    def transpose(self):
-        out = Tensor(self.data.T, (self,))
+    def transpose(self, *axes):
+        """Permute the axes (reverse them when none are given), like ndarray.transpose."""
+        axes = axes or tuple(reversed(range(self.data.ndim)))
+        out = Tensor(self.data.transpose(axes), (self,))
 
         def bwd(g):
-            self._accumulate(g.T)
+            self._accumulate(g.transpose(np.argsort(axes)))
 
         out._backward = bwd
         return out
@@ -234,10 +236,11 @@ def _broadcast_backward(out, a, b, fa, fb):
 
 
 def matmul(a, b):
+    """a[..., n, k] @ b[..., k, m], broadcasting the leading axes as np.matmul does."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D tensors")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError("matmul expects tensors of at least 2 dimensions")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul inner extents disagree: {a.data.shape} vs {b.data.shape}"
         )
@@ -245,9 +248,9 @@ def matmul(a, b):
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     out._backward = bwd
     return out
@@ -263,10 +266,9 @@ def affine(x, weight, bias):
         )
     if bias.data.shape != (c_out,):
         raise ValueError("affine bias shape must be (C_out,)")
-    lead = x.data.shape[:-1]
-    flat = x.reshape((-1, c_in)) if lead else x.reshape((1, c_in))
-    out = matmul(flat, weight) + bias
-    return out.reshape(lead + (c_out,)) if lead else out.reshape((c_out,))
+    if x.data.ndim == 1:
+        return (matmul(x.reshape((1, c_in)), weight) + bias).reshape((c_out,))
+    return matmul(x, weight) + bias
 
 
 def conv2d(x, kernel, stride=1, padding=0):

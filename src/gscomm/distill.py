@@ -81,8 +81,7 @@ class MaskingNetwork:
         self.params = params
 
     def forward(self, image):
-        tokens, internals = vit_forward(image, self.vit_config, self.params)
-        return tokens, internals
+        return vit_forward(image, self.vit_config, self.params)
 
     def project(self, image):
         tokens, _ = self.forward(image)
@@ -90,8 +89,8 @@ class MaskingNetwork:
         return project_head(cls, self.params, self.distill_config.epsilon)
 
     def semantic_mask(self, image, mask_params=None):
-        _, internals = self.forward(image)
-        maps = cls_attention_maps(internals, self.vit_config)
+        _, attention = self.forward(image)
+        maps = cls_attention_maps(attention, self.vit_config)
         return build_semantic_mask(
             maps,
             mask_params or self.mask_params,

@@ -23,13 +23,6 @@ class MaskParams:
 
 
 @dataclass
-class HeadAttentionMaps:
-    """Per-head CLS-to-patch attention reshaped onto the patch grid."""
-
-    maps: np.ndarray  # (heads, H/P, W/P), non-negative
-
-
-@dataclass
 class SemanticMask:
     mask: np.ndarray  # (H, W) in {0, 1}
     mask3: np.ndarray  # (3, H, W), every channel equals mask
@@ -37,32 +30,28 @@ class SemanticMask:
     patch_grid: tuple  # (H/P, W/P)
 
 
-def cls_attention_maps(internals, config):
-    """Extract row 1, columns 2..T+1 of each head's attention matrix."""
-    if len(internals.s) != config.heads:
+def cls_attention_maps(attention, config):
+    """Row 0, columns 1..T of each head's (T+1)x(T+1) attention, as (heads, H/P, W/P) maps."""
+    if attention.shape[0] != config.heads:
         raise ValueError(
-            f"expected {config.heads} attention heads, got {len(internals.s)}"
+            f"expected {config.heads} attention heads, got {attention.shape[0]}"
         )
-    gh, gw = config.grid
-    t = config.num_patches
-    maps = np.stack([s[0, 1 : t + 1].reshape(gh, gw) for s in internals.s])
-    return HeadAttentionMaps(maps=maps)
+    return attention[:, 0, 1:].reshape(config.heads, *config.grid)
 
 
 def build_semantic_mask(maps, params, target):
-    """Binarize per-head maps at rho, sum over heads, upsample, threshold."""
+    """Binarize (heads, H/P, W/P) maps at rho, sum over heads, upsample, threshold."""
     h, w = target
-    raw = maps.maps
-    binarized = (raw > params.rho).astype(np.float64)
+    binarized = (maps > params.rho).astype(np.float64)
     summed = binarized.sum(axis=0)
     upsampled = bilinear_resize(summed, (h, w))
     mask = (upsampled > params.final_threshold).astype(np.float64)
-    patch_weights = raw.sum(axis=0).reshape(-1)
+    patch_weights = maps.sum(axis=0).reshape(-1)
     return SemanticMask(
         mask=mask,
         mask3=np.broadcast_to(mask, (3, h, w)).copy(),
         patch_weights=patch_weights,
-        patch_grid=raw.shape[1:],
+        patch_grid=maps.shape[1:],
     )
 
 

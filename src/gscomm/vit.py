@@ -1,9 +1,9 @@
 """Toy-scale vision Transformer: patch tokens + CLS token, pre-norm blocks,
-and retained final-block attention internals for downstream masking."""
+and the final block's attention, kept for downstream masking."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,9 @@ class ViTConfig:
     mlp_ratio: int = 4  # hidden width multiplier inside block MLPs
 
     def __post_init__(self):
+        for name in ("patch_size", "dim", "blocks", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.img_h % self.patch_size or self.img_w % self.patch_size:
             raise ValueError("image extents must be multiples of the patch size")
         if self.dim % self.heads:
@@ -38,13 +41,6 @@ class ViTConfig:
     @property
     def head_dim(self):
         return self.dim // self.heads
-
-
-@dataclass
-class AttentionInternals:
-    """Per-head row-stochastic attention matrices of one block."""
-
-    s: list = field(default_factory=list)  # each (T+1, T+1)
 
 
 def patchify(image, patch_size):
@@ -100,7 +96,7 @@ def init_vit_params(config, rng, learnable=True):
 
 
 def vit_forward(image, config, params):
-    """Run the backbone; returns ((T+1)xC token Tensor, final-block internals)."""
+    """Run the backbone; returns ((T+1)xC token Tensor, final-block (heads, T+1, T+1) attention)."""
     image = image if isinstance(image, Tensor) else Tensor(image)
     if image.data.shape != (3, config.img_h, config.img_w):
         raise ValueError(
@@ -121,26 +117,19 @@ def vit_forward(image, config, params):
     cls = params["cls_token"].value.reshape(1, c)
     x = ad.concat([cls, patch_tokens], axis=0)
 
-    d = config.head_dim
+    heads, d = config.heads, config.head_dim
     scale = 1.0 / np.sqrt(d)
-    internals = None
     for u in range(config.blocks):
         b = f"blk{u}."
         h = ad.layernorm(x)
-        heads = []
-        last = u == config.blocks - 1
-        if last:
-            internals = AttentionInternals()
-        for m in range(config.heads):
-            cols = (slice(None), slice(m * d, (m + 1) * d))
-            q = h @ params[b + "wq"].value[cols]
-            k = h @ params[b + "wk"].value[cols]
-            v = h @ params[b + "wv"].value[cols]
-            s = ad.softmax((q @ k.T) * scale)
-            heads.append(s @ v)
-            if last:
-                internals.s.append(s.data.copy())
-        x = x + ad.concat(heads, axis=1) @ params[b + "wo"].value
+        # head m owns columns m*d:(m+1)*d of each projection: [T+1, C] -> [heads, T+1, d]
+        q, k, v = (
+            (h @ params[b + w].value).reshape(t + 1, heads, d).transpose(1, 0, 2)
+            for w in ("wq", "wk", "wv")
+        )
+        s = ad.softmax((q @ k.transpose(0, 2, 1)) * scale)
+        merged = (s @ v).transpose(1, 0, 2).reshape(t + 1, c)
+        x = x + merged @ params[b + "wo"].value
         h2 = ad.layernorm(x)
         mlp = ad.affine(
             ad.relu(ad.affine(h2, params[b + "mlp1.w"].value, params[b + "mlp1.b"].value)),
@@ -148,7 +137,7 @@ def vit_forward(image, config, params):
             params[b + "mlp2.b"].value,
         )
         x = x + mlp
-    return x, internals
+    return x, s.data
 
 
 class ViT:

@@ -67,6 +67,15 @@ def test_criterion_01_gradient_suite(capsys):
         (lambda x: ad.batchnorm(x, BatchNormState(3), training=True).sum(),
          [r((4, 3, 2, 2)) * 2]),
     ]
+    # drawn after the list above, so the inputs of its checks stay as they were
+    w235 = r((2, 3, 5))
+    w324 = r((3, 2, 4))
+    checks += [
+        (lambda a, b: (ad.matmul(a, b) * w235).sum(), [r((2, 3, 4)), r((2, 4, 5))]),
+        (lambda a, b: (ad.matmul(a, b) * w235).sum(), [r((1, 3, 4)), r((2, 4, 5))]),
+        (lambda a, b: (ad.matmul(a, b) * w235).sum(), [r((2, 3, 4)), r((4, 5))]),
+        (lambda x: (x.transpose(1, 0, 2) * w324).sum(), [r((2, 3, 4))]),
+    ]
     for build, values in checks:
         check_gradients(build, values)
     elapsed = time.time() - start

@@ -140,6 +140,25 @@ class TestAffine:
         b = rng.standard_normal(2)
         check_gradients(lambda a, ww, bb: ad.affine(a, ww, bb).sum(), [x, w, b])
 
+    def test_gradients_3d_input(self, rng):
+        x = rng.standard_normal((2, 3, 4))
+        w = rng.standard_normal((4, 5))
+        b = rng.standard_normal(5)
+        g = rng.standard_normal((2, 3, 5))
+        check_gradients(lambda a, ww, bb: (ad.affine(a, ww, bb) * g).sum(), [x, w, b])
+
+
+class TestMatmul:
+    def test_one_dimensional_operand_rejected(self, rng):
+        with pytest.raises(ValueError):
+            ad.matmul(Tensor(rng.random(4)), Tensor(rng.random((4, 2))))
+        with pytest.raises(ValueError):
+            ad.matmul(Tensor(rng.random((3, 4))), Tensor(rng.random(4)))
+
+    def test_inner_extent_mismatch(self, rng):
+        with pytest.raises(ValueError, match="matmul inner extents disagree"):
+            ad.matmul(Tensor(rng.random((2, 3, 4))), Tensor(rng.random((2, 5, 2))))
+
 
 class TestActivations:
     def test_relu_clamps(self):

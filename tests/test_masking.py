@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gscomm.masking import (
-    HeadAttentionMaps,
     MaskParams,
     apply_mask,
     build_semantic_mask,
@@ -11,11 +10,7 @@ from gscomm.masking import (
     write_patch_weights_csv,
     write_pbm,
 )
-from gscomm.vit import AttentionInternals, ViTConfig
-
-
-def make_internals(s_matrices):
-    return AttentionInternals(s=list(s_matrices))
+from gscomm.vit import ViTConfig
 
 
 class TestClsAttentionMaps:
@@ -23,9 +18,9 @@ class TestClsAttentionMaps:
         cfg = ViTConfig(patch_size=8, dim=32, heads=1, img_h=32, img_w=32)
         t = cfg.num_patches
         s = np.full((t + 1, t + 1), 1.0 / (t + 1))
-        maps = cls_attention_maps(make_internals([s]), cfg)
-        assert maps.maps.shape == (1, 4, 4)
-        assert maps.maps == pytest.approx(np.full((1, 4, 4), 1.0 / (t + 1)))
+        maps = cls_attention_maps(s[None], cfg)
+        assert maps.shape == (1, 4, 4)
+        assert maps == pytest.approx(np.full((1, 4, 4), 1.0 / (t + 1)))
 
     def test_one_hot_row(self):
         cfg = ViTConfig(patch_size=8, dim=32, heads=1, img_h=32, img_w=32)
@@ -33,32 +28,32 @@ class TestClsAttentionMaps:
         s = np.zeros((t + 1, t + 1))
         j = 5
         s[0, 1 + j] = 1.0
-        maps = cls_attention_maps(make_internals([s]), cfg)
+        maps = cls_attention_maps(s[None], cfg)
         expected = np.zeros(t)
         expected[j] = 1.0
-        assert np.array_equal(maps.maps[0].reshape(-1), expected)
+        assert np.array_equal(maps[0].reshape(-1), expected)
 
     def test_reference_scale_grid(self):
         cfg = ViTConfig(patch_size=8, dim=30, heads=5, img_h=96, img_w=96)
         t = cfg.num_patches
         s = np.full((t + 1, t + 1), 1.0 / (t + 1))
-        maps = cls_attention_maps(make_internals([s] * 5), cfg)
-        assert maps.maps.shape == (5, 12, 12)
+        maps = cls_attention_maps(np.stack([s] * 5), cfg)
+        assert maps.shape == (5, 12, 12)
 
     def test_head_count_mismatch(self):
         cfg = ViTConfig(patch_size=8, dim=32, heads=4, img_h=32, img_w=32)
         with pytest.raises(ValueError):
-            cls_attention_maps(make_internals([np.eye(17)]), cfg)
+            cls_attention_maps(np.eye(17)[None], cfg)
 
 
 class TestBuildSemanticMask:
     def test_all_below_rho(self):
-        maps = HeadAttentionMaps(maps=np.full((3, 4, 4), 1e-4))
+        maps = np.full((3, 4, 4), 1e-4)
         mask = build_semantic_mask(maps, MaskParams(rho=1e-3), (32, 32))
         assert np.all(mask.mask == 0)
 
     def test_all_above_rho(self):
-        maps = HeadAttentionMaps(maps=np.full((3, 4, 4), 0.5))
+        maps = np.full((3, 4, 4), 0.5)
         mask = build_semantic_mask(maps, MaskParams(rho=1e-3), (32, 32))
         assert np.all(mask.mask == 1)
         assert np.all(mask.mask3[0] == mask.mask3[2])
@@ -67,7 +62,7 @@ class TestBuildSemanticMask:
         grid = np.zeros((1, 4, 4))
         grid[0, 1, 1] = 1.0
         mask = build_semantic_mask(
-            HeadAttentionMaps(maps=grid), MaskParams(rho=0.5, final_threshold=0.5), (32, 32)
+            grid, MaskParams(rho=0.5, final_threshold=0.5), (32, 32)
         )
         # center pixel of patch (1,1); the upsampled bump peaks there
         assert mask.mask[mask.mask.shape[0] * 3 // 8, mask.mask.shape[1] * 3 // 8] == 1.0
@@ -76,14 +71,14 @@ class TestBuildSemanticMask:
 
     def test_rho_monotonicity(self, rng):
         raw = rng.random((2, 4, 4)) * 0.01
-        hi = build_semantic_mask(HeadAttentionMaps(raw), MaskParams(rho=5e-3), (16, 16))
-        lo = build_semantic_mask(HeadAttentionMaps(raw), MaskParams(rho=1e-3), (16, 16))
+        hi = build_semantic_mask(raw, MaskParams(rho=5e-3), (16, 16))
+        lo = build_semantic_mask(raw, MaskParams(rho=1e-3), (16, 16))
         assert np.all(lo.mask >= hi.mask)
 
     def test_patch_weights_from_raw_maps(self, rng):
         raw = rng.random((2, 4, 4)) * 0.01
-        a = build_semantic_mask(HeadAttentionMaps(raw), MaskParams(rho=5e-3), (16, 16))
-        b = build_semantic_mask(HeadAttentionMaps(raw), MaskParams(rho=1e-4), (16, 16))
+        a = build_semantic_mask(raw, MaskParams(rho=5e-3), (16, 16))
+        b = build_semantic_mask(raw, MaskParams(rho=1e-4), (16, 16))
         assert np.array_equal(a.patch_weights, b.patch_weights)
         assert a.patch_weights == pytest.approx(raw.sum(axis=0).reshape(-1))
 

@@ -3,7 +3,38 @@ import pytest
 
 from conftest import fd_gradient
 from gscomm.autodiff import Tensor
-from gscomm.vit import ViT, ViTConfig, patchify, unpatchify, vit_forward
+from gscomm.vit import ViT, ViTConfig, init_vit_params, patchify, unpatchify, vit_forward
+
+
+def _layernorm(x, eps=1e-5):
+    return (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+
+
+def _softmax(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _vit_reference(image, config, params):
+    """Plain-numpy forward pass, one head at a time; returns (tokens, last-block attention)."""
+    w = {name: p.data for name, p in params.items()}
+    c, d = config.dim, config.head_dim
+    emb = patchify(image, config.patch_size) @ w["patch_embed.kernel"].reshape(c, -1).T
+    x = np.vstack([w["cls_token"], emb + w["patch_embed.bias"] + w["pos_embed"]])
+    for u in range(config.blocks):
+        b = f"blk{u}."
+        h = _layernorm(x)
+        outputs, attention = [], []
+        for m in range(config.heads):
+            cols = slice(m * d, (m + 1) * d)
+            q, k, v = (h @ w[b + name][:, cols] for name in ("wq", "wk", "wv"))
+            s = _softmax(q @ k.T / np.sqrt(d))
+            outputs.append(s @ v)
+            attention.append(s)
+        x = x + np.hstack(outputs) @ w[b + "wo"]
+        hidden = np.maximum(_layernorm(x) @ w[b + "mlp1.w"] + w[b + "mlp1.b"], 0.0)
+        x = x + hidden @ w[b + "mlp2.w"] + w[b + "mlp2.b"]
+    return x, np.stack(attention)
 
 
 @pytest.fixture
@@ -38,6 +69,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ViTConfig(dim=30, heads=4)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("heads", 0), ("heads", -4), ("patch_size", 0), ("blocks", 0), ("dim", 0)],
+    )
+    def test_non_positive_geometry_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            ViTConfig(**{field: value})
+
     def test_patch_count(self):
         cfg = ViTConfig(patch_size=8, img_h=96, img_w=96)
         assert cfg.num_patches == 144
@@ -47,15 +86,29 @@ class TestForward:
     def test_token_matrix_shape(self, rng):
         cfg = ViTConfig(patch_size=8, dim=32, blocks=2, heads=4, img_h=96, img_w=96)
         vit = ViT(cfg, rng=rng)
-        tokens, internals = vit.forward(rng.random((3, 96, 96)))
+        tokens, attention = vit.forward(rng.random((3, 96, 96)))
         assert tokens.data.shape == (145, 32)
-        assert len(internals.s) == 4
+        assert attention.shape == (4, 145, 145)
 
     def test_attention_rows_stochastic(self, rng, small_config):
         vit = ViT(small_config, rng=rng)
-        _, internals = vit.forward(rng.random((3, 16, 16)))
-        for s in internals.s:
-            assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-9
+        _, attention = vit.forward(rng.random((3, 16, 16)))
+        assert attention.shape == (4, 5, 5)
+        assert np.abs(attention.sum(axis=-1) - 1.0).max() < 1e-9
+
+    @pytest.mark.parametrize("heads", [4, 1])
+    def test_matches_per_head_reference(self, rng, heads):
+        cfg = ViTConfig(heads=heads)
+        # scale 0.5 keeps the attention far from uniform, so a head mix-up shows
+        params = init_vit_params(cfg, rng)
+        for p in params.values():
+            p.data[:] = rng.normal(0.0, 0.5, size=p.data.shape)
+        image = rng.random((3, cfg.img_h, cfg.img_w))
+        tokens, attention = vit_forward(image, cfg, params)
+        ref_tokens, ref_attention = _vit_reference(image, cfg, params)
+        assert attention.shape == (heads, cfg.num_patches + 1, cfg.num_patches + 1)
+        np.testing.assert_allclose(tokens.data, ref_tokens, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(attention, ref_attention, rtol=0, atol=1e-12)
 
     def test_wrong_extents_rejected(self, rng, small_config):
         vit = ViT(small_config, rng=rng)
