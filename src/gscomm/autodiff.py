@@ -291,7 +291,8 @@ def conv2d(x, kernel, stride=1, padding=0):
 
     # im2col: cols[b, (c, di, dj), (i, j)] = xp[b, c, stride*i + di, stride*j + dj],
     # so every pass is one matmul over the C_in*k*k axis and the output is NCHW.
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + w] = xd
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_in * kh * kw, h_out * w_out)

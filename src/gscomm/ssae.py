@@ -195,6 +195,11 @@ class SSAE:
 # ---------------------------------------------------------------------------
 
 
+def _sq_distances(chans, centers):
+    """(n, F) squared distances from (3, n) channel-major pixels to (F, 3) centres."""
+    return ((chans[:, :, None] - centers.T[:, None, :]) ** 2).sum(axis=0)
+
+
 def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
     """Lloyd's algorithm with seeded k-means++-style initialisation.
 
@@ -205,12 +210,12 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
     n = pixels.shape[0]
     if n < 1 or num_colors < 1:
         raise ValueError("need at least one pixel and one cluster")
+    chans = np.ascontiguousarray(pixels.T)  # (3, n), whatever the input layout
 
     uniq = np.unique(pixels, axis=0)
     if uniq.shape[0] <= num_colors:
         centers = np.vstack([uniq, np.repeat(uniq[-1:], num_colors - uniq.shape[0], axis=0)])
-        d = ((pixels[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = d.argmin(axis=1)
+        assign = _sq_distances(chans, centers).argmin(axis=1)
         if return_inertia:
             return centers, assign, [0.0]
         return centers, assign
@@ -218,31 +223,32 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
     rng = np.random.default_rng(seed)
     centers = np.empty((num_colors, 3))
     centers[0] = pixels[rng.integers(n)]
-    d2 = ((pixels - centers[0]) ** 2).sum(axis=1)
+    d2 = ((chans - centers[0][:, None]) ** 2).sum(axis=0)
     for i in range(1, num_colors):
         total = d2.sum()
         if total <= 0:
             centers[i] = pixels[rng.integers(n)]
         else:
             centers[i] = pixels[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((pixels - centers[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, ((chans - centers[i][:, None]) ** 2).sum(axis=0))
 
     assign = None
     history = []
+    rows = np.arange(n)
     for _ in range(50):
-        d = ((pixels[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d = _sq_distances(chans, centers)
         new_assign = d.argmin(axis=1)
-        history.append(float(np.take_along_axis(d, new_assign[:, None], axis=1).sum()))
+        dist_to_own = d[rows, new_assign]
+        history.append(float(dist_to_own.sum()))
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        dist_to_own = np.take_along_axis(d, assign[:, None], axis=1)[:, 0]
-        for ci in range(num_colors):
-            members = assign == ci
-            if members.any():
-                centers[ci] = pixels[members].mean(axis=0)
-            else:
-                centers[ci] = pixels[dist_to_own.argmax()]
+        # bincount adds members in pixel order: the same floats as each cluster's mean
+        counts = np.bincount(assign, minlength=num_colors)
+        sums = np.stack([np.bincount(assign, weights=ch, minlength=num_colors) for ch in chans])
+        full = counts > 0
+        centers[full] = (sums[:, full] / counts[full]).T
+        centers[~full] = pixels[dist_to_own.argmax()]
     if return_inertia:
         return centers, assign, history
     return centers, assign
@@ -270,22 +276,19 @@ def rle_encode(indices, num_colors, run_bits):
         raise ValueError("index out of palette range")
     ib = _index_bits(num_colors)
     max_run = 1 << run_bits
-    bits = []
-    i = 0
-    n = indices.size
-    while i < n:
-        j = i
-        while j < n and indices[j] == indices[i] and j - i < max_run:
-            j += 1
-        run = j - i
-        val = int(indices[i])
-        for b in range(ib - 1, -1, -1):
-            bits.append((val >> b) & 1)
-        rv = run - 1
-        for b in range(run_bits - 1, -1, -1):
-            bits.append((rv >> b) & 1)
-        i = j
-    return np.array(bits, dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(indices, prepend=-1))
+    lengths = np.diff(starts, append=indices.size)
+    # a run longer than max_run becomes full records then one remainder record
+    pieces = -(-lengths // max_run)
+    last = np.cumsum(pieces) - 1
+    runs = np.full(pieces.sum(), max_run)
+    runs[last] = lengths - max_run * (pieces - 1)
+    values = np.repeat(indices[starts], pieces)
+    fields = np.hstack([
+        values[:, None] >> np.arange(ib - 1, -1, -1),
+        (runs - 1)[:, None] >> np.arange(run_bits - 1, -1, -1),
+    ])
+    return (fields & 1).astype(np.uint8).ravel()
 
 
 def rle_decode(bits, count, num_colors, run_bits):
@@ -294,25 +297,22 @@ def rle_decode(bits, count, num_colors, run_bits):
     ib = _index_bits(num_colors)
     rec = ib + run_bits
     out = np.empty(count, dtype=np.int64)
-    pos = 0
-    filled = 0
-    while filled < count:
-        if pos + rec > bits.size:
-            raise CorruptFrameError("RLE stream exhausted before index count reached")
-        val = 0
-        for b in bits[pos : pos + ib]:
-            val = (val << 1) | int(b)
-        stored = 0
-        for b in bits[pos + ib : pos + rec]:
-            stored = (stored << 1) | int(b)
-        run = stored + 1  # field stores run-1
-        pos += rec
-        if val >= num_colors:
-            raise CorruptFrameError(f"palette index {val} >= {num_colors}")
-        if filled + run > count:
-            raise CorruptFrameError("RLE run overflows declared index count")
-        out[filled : filled + run] = val
-        filled += run
+    if count == 0:
+        return out
+    # float64 fields are exact below 2^53, and any larger run overflows the count
+    fields = bits[: bits.size // rec * rec].reshape(-1, rec)
+    values = fields[:, :ib] @ 2.0 ** np.arange(ib - 1, -1, -1)
+    runs = fields[:, ib:] @ 2.0 ** np.arange(run_bits - 1, -1, -1) + 1  # field stores run-1
+    ends = np.cumsum(runs)
+    stops = np.flatnonzero((values >= num_colors) | (ends >= count))
+    if stops.size == 0:
+        raise CorruptFrameError("RLE stream exhausted before index count reached")
+    last = stops[0]
+    if values[last] >= num_colors:
+        raise CorruptFrameError(f"palette index {int(values[last])} >= {num_colors}")
+    if ends[last] > count:
+        raise CorruptFrameError("RLE run overflows declared index count")
+    out[:] = np.repeat(values[: last + 1].astype(np.int64), runs[: last + 1].astype(np.int64))
     return out
 
 
@@ -386,15 +386,12 @@ def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bit
     flags = np.zeros(t, dtype=np.uint8)
     flags[refined] = 1
 
-    # (n, 3) pixels, patch by patch in raster order; a transposed (3, n) array,
-    # because k-means runs about twice as fast with each channel contiguous
-    pixels = img_patches[refined].reshape(-1, 3, patch_size**2).transpose(1, 0, 2)
-    pixels = pixels.reshape(3, -1).T
+    # (n, 3) pixels, patch by patch in raster order
+    pixels = img_patches[refined].reshape(-1, 3, patch_size**2).transpose(0, 2, 1).reshape(-1, 3)
     centers, _ = kmeans_palette(pixels, palette_size, seed)
     palette = np.clip(np.rint(centers * 255.0), 0, 255).astype(np.uint8)
     # assign against the byte-quantized palette so receiver-side fills are exact
-    d = ((pixels[:, None, :] * 255.0 - palette[None, :, :].astype(np.float64)) ** 2).sum(axis=2)
-    indices = d.argmin(axis=1)
+    indices = _sq_distances(pixels.T * 255.0, palette.astype(np.float64)).argmin(axis=1)
     rle_bits = rle_encode(indices, palette_size, run_bits)
     if rle_bits.size > MAX_RLE_BITS:
         raise ValueError(

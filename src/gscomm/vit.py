@@ -22,7 +22,7 @@ class ViTConfig:
     mlp_ratio: int = 4  # hidden width multiplier inside block MLPs
 
     def __post_init__(self):
-        for name in ("patch_size", "dim", "blocks", "heads"):
+        for name in ("patch_size", "dim", "blocks", "heads", "img_h", "img_w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.img_h % self.patch_size or self.img_w % self.patch_size:

@@ -32,7 +32,7 @@ class TestConv2d:
     # H=8 leaves a remainder for stride 2 and 3 (= k); W=7 for stride 3
     @pytest.mark.parametrize("x_shape", [(2, 8, 7), (1, 2, 8, 7), (3, 2, 8, 7)])
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_matches_nested_loop_reference(self, rng, x_shape, stride, padding):
         x = rng.standard_normal(x_shape)
         k = rng.standard_normal((3, 2, 3, 3))

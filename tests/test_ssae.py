@@ -22,6 +22,116 @@ from gscomm.ssae import (
 )
 
 
+def _kmeans_reference(pixels, num_colors, seed, return_inertia=False, reseeded=None):
+    """Per-cluster loop k-means; `reseeded` collects the clusters left empty."""
+    pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 3)
+    n = pixels.shape[0]
+    uniq = np.unique(pixels, axis=0)
+    if uniq.shape[0] <= num_colors:
+        centers = np.vstack([uniq, np.repeat(uniq[-1:], num_colors - uniq.shape[0], axis=0)])
+        d = ((pixels[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = d.argmin(axis=1)
+        return (centers, assign, [0.0]) if return_inertia else (centers, assign)
+    rng = np.random.default_rng(seed)
+    centers = np.empty((num_colors, 3))
+    centers[0] = pixels[rng.integers(n)]
+    d2 = ((pixels - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, num_colors):
+        total = d2.sum()
+        if total <= 0:
+            centers[i] = pixels[rng.integers(n)]
+        else:
+            centers[i] = pixels[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((pixels - centers[i]) ** 2).sum(axis=1))
+    assign = None
+    history = []
+    for _ in range(50):
+        d = ((pixels[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = d.argmin(axis=1)
+        history.append(float(np.take_along_axis(d, new_assign[:, None], axis=1).sum()))
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        dist_to_own = np.take_along_axis(d, assign[:, None], axis=1)[:, 0]
+        for ci in range(num_colors):
+            members = assign == ci
+            if members.any():
+                centers[ci] = pixels[members].mean(axis=0)
+            else:
+                centers[ci] = pixels[dist_to_own.argmax()]
+                if reseeded is not None:
+                    reseeded.append(ci)
+    return (centers, assign, history) if return_inertia else (centers, assign)
+
+
+def _index_bits_reference(num_colors):
+    return max(1, int(np.ceil(np.log2(num_colors))))
+
+
+def _rle_encode_reference(indices, num_colors, run_bits):
+    """Record-by-record, bit-by-bit RLE encoder."""
+    indices = np.asarray(indices, dtype=np.int64)
+    ib = _index_bits_reference(num_colors)
+    max_run = 1 << run_bits
+    bits = []
+    i = 0
+    n = indices.size
+    while i < n:
+        j = i
+        while j < n and indices[j] == indices[i] and j - i < max_run:
+            j += 1
+        val = int(indices[i])
+        bits.extend((val >> b) & 1 for b in range(ib - 1, -1, -1))
+        bits.extend(((j - i - 1) >> b) & 1 for b in range(run_bits - 1, -1, -1))
+        i = j
+    return np.array(bits, dtype=np.uint8)
+
+
+def _rle_decode_reference(bits, count, num_colors, run_bits):
+    """Record-by-record, bit-by-bit RLE decoder."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    ib = _index_bits_reference(num_colors)
+    rec = ib + run_bits
+    out = np.empty(count, dtype=np.int64)
+    pos = 0
+    filled = 0
+    while filled < count:
+        if pos + rec > bits.size:
+            raise CorruptFrameError("RLE stream exhausted before index count reached")
+        val = 0
+        for b in bits[pos : pos + ib]:
+            val = (val << 1) | int(b)
+        stored = 0
+        for b in bits[pos + ib : pos + rec]:
+            stored = (stored << 1) | int(b)
+        run = stored + 1
+        pos += rec
+        if val >= num_colors:
+            raise CorruptFrameError(f"palette index {val} >= {num_colors}")
+        if filled + run > count:
+            raise CorruptFrameError("RLE run overflows declared index count")
+        out[filled : filled + run] = val
+        filled += run
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).tolist()
+    except CorruptFrameError as exc:
+        return str(exc)
+
+
+def _pixel_set(rng, n, kind):
+    """Random (n, 3) pixels: noise, few distinct colours, or a coarse grid."""
+    if kind == 0:
+        return rng.random((n, 3))
+    if kind == 1:
+        colors = rng.random((int(rng.integers(1, 30)), 3))
+        return colors[rng.integers(0, len(colors), n)]
+    return np.rint(rng.random((n, 3)) * 4) / 4
+
+
 def full_mask(h, w, patch_size, weights=None):
     gh, gw = h // patch_size, w // patch_size
     if weights is None:
@@ -172,6 +282,36 @@ class TestKmeans:
         assert np.array_equal(c1, c2)
         assert np.array_equal(a1, a2)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_loop_reference(self, rng, order):
+        for trial in range(60):
+            pixels = np.asarray(_pixel_set(rng, int(rng.integers(1, 400)), trial % 3), order=order)
+            f = int(rng.integers(2, 17))
+            got = kmeans_palette(pixels, f, trial, return_inertia=True)
+            want = _kmeans_reference(pixels, f, trial, return_inertia=True)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
+    def test_empty_cluster_reseed_matches_reference(self):
+        # found by search: cluster 1 loses every member and is re-seeded
+        pixels = np.random.default_rng(4903).random((12, 3)) ** 4
+        reseeded = []
+        want = _kmeans_reference(pixels, 4, 4903, return_inertia=True, reseeded=reseeded)
+        assert reseeded
+        got = kmeans_palette(pixels, 4, 4903, return_inertia=True)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_memory_layout_invariant(self, rng):
+        pixels = rng.random((512, 3))
+        c_order = kmeans_palette(pixels, 8, 3, return_inertia=True)
+        f_order = kmeans_palette(np.asfortranarray(pixels), 8, 3, return_inertia=True)
+        assert np.array_equal(c_order[0], f_order[0])
+        assert np.array_equal(c_order[1], f_order[1])
+        assert c_order[2] == f_order[2]
+
 
 class TestRle:
     def test_hand_coded_example(self):
@@ -203,6 +343,44 @@ class TestRle:
     def test_roundtrip_property(self, stream, run_bits):
         bits = rle_encode(stream, num_colors=8, run_bits=run_bits)
         assert np.array_equal(rle_decode(bits, len(stream), 8, run_bits), stream)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda f: st.tuples(st.just(f), st.lists(st.integers(0, f - 1), max_size=300))
+        ),
+        st.integers(1, 8),
+    )
+    def test_encode_matches_loop_reference(self, palette_and_stream, run_bits):
+        f, stream = palette_and_stream
+        bits = rle_encode(stream, f, run_bits)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, _rle_encode_reference(stream, f, run_bits))
+        assert np.array_equal(rle_decode(bits, len(stream), f, run_bits), stream)
+
+    @pytest.mark.parametrize("high_bit", [53, 63, 64, 69])
+    def test_run_field_wider_than_int64_overflows(self, high_bit):
+        # a corrupt header may declare L up to 255; only a bit of the run field
+        # above 2^52 is set, so the run is far longer than any index count
+        bits = np.zeros(1 + 70, dtype=np.uint8)
+        bits[1 + 69 - high_bit] = 1
+        with pytest.raises(CorruptFrameError, match="run overflows"):
+            _rle_decode_reference(bits, 64, 2, 70)
+        with pytest.raises(CorruptFrameError, match="run overflows"):
+            rle_decode(bits, 64, 2, 70)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1), max_size=300),
+        st.integers(0, 300),
+        st.integers(1, 40),
+        st.integers(0, 8) | st.integers(60, 255),
+    )
+    def test_decode_matches_loop_reference(self, bits, count, num_colors, run_bits):
+        bits = np.array(bits, dtype=np.uint8)
+        assert _outcome(rle_decode, bits, count, num_colors, run_bits) == _outcome(
+            _rle_decode_reference, bits, count, num_colors, run_bits
+        )
 
 
 class TestPlanRefinement:

@@ -71,7 +71,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("heads", 0), ("heads", -4), ("patch_size", 0), ("blocks", 0), ("dim", 0)],
+        [
+            ("heads", 0), ("heads", -4), ("patch_size", 0), ("blocks", 0), ("dim", 0),
+            ("img_h", 0), ("img_w", -8),
+        ],
     )
     def test_non_positive_geometry_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
