@@ -4,7 +4,7 @@ refinement, bit-exact framing, channel simulation, and metrics."""
 
 from .autodiff import Parameter, Tensor
 from .channel import CODECS, ChannelConfig, inject_bsc, measure_ber, transmit_awgn
-from .classifier import ClassifierConfig, ClassifierModel, classify, evaluate_accuracy, finetune
+from .classifier import ClassifierConfig, ClassifierModel, classify, finetune
 from .distill import DistillConfig, MaskingNetwork, distill_loss, make_views
 from .errors import (
     CorruptFrameError,
@@ -17,6 +17,6 @@ from .masking import MaskParams, SemanticMask, apply_mask, build_semantic_mask, 
 from .metrics import masked_psnr
 from .pipeline import PipelineModels, RefineParams, receive, run_end_to_end, sweep, transmit
 from .ssae import SSAE, SSAEConfig, apply_refinement, kmeans_palette, plan_refinement, quantize
-from .vit import ViT, ViTConfig, patchify, unpatchify, vit_forward
+from .vit import ViTConfig, patchify, unpatchify, vit_forward
 
 __version__ = "0.1.0"

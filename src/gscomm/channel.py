@@ -102,3 +102,8 @@ class ChannelConfig:
         if self.mode == "awgn_snr_db":
             return transmit_awgn(bits, self.snr_db, self.seed)
         return inject_bsc(bits, self.ber, self.seed)
+
+    def send(self, bits, fec):
+        """The channel step between transmitter and receiver: FEC encode, this
+        channel, FEC decode."""
+        return fec.decode(self.apply(fec.encode(bits)))

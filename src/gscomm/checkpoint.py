@@ -25,28 +25,33 @@ def save_params(path, params):
 
 
 def load_params(path, params):
-    """Load values into an existing dict name -> Parameter (shapes must agree)."""
+    """Load values into an existing dict name -> Parameter. The checkpoint must hold
+    exactly the dict's tensors, with the same shapes, and nothing after them; on
+    any mismatch no value is changed."""
     with open(path, "rb") as fh:
         manifest = fh.readline()
         blob = fh.read()
-    entries = []
+    values, offset = {}, 0
     for item in manifest.decode("ascii").strip().split():
         name, _, dims = item.partition(":")
         shape = tuple(int(d) for d in dims.split(",")) if dims else ()
-        entries.append((name, shape))
-    offset = 0
-    for name, shape in entries:
         count = int(np.prod(shape)) if shape else 1
         chunk = blob[offset * 4 : (offset + count) * 4]
         if len(chunk) != count * 4:
             raise DatasetFormatError(f"checkpoint truncated at tensor {name!r}", offset * 4)
-        value = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
         if name not in params:
             raise DatasetFormatError(f"unknown tensor {name!r} in checkpoint")
         if params[name].value.data.shape != shape:
             raise DatasetFormatError(f"shape mismatch for tensor {name!r}")
-        params[name].value.data = value
+        values[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
         offset += count
+    missing = [name for name in params if name not in values]
+    if missing:
+        raise DatasetFormatError(f"checkpoint lacks tensor {missing[0]!r}")
+    if len(blob) != offset * 4:
+        raise DatasetFormatError("trailing bytes after the last tensor", offset * 4)
+    for name, value in values.items():
+        params[name].value.data = value
 
 
 def params_checksum(params):

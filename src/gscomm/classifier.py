@@ -94,11 +94,3 @@ def finetune(model, labeled, config, rng=None):
         ad.zero_grads(model.params.values())
         losses.append(loss.item())
     return losses
-
-
-def evaluate_accuracy(model, test):
-    """Fraction of argmax-correct predictions over (image, label) pairs."""
-    if not test:
-        raise ValueError("test set is empty")
-    correct = sum(classify(image, model).label == label for image, label in test)
-    return correct / len(test)

@@ -2,7 +2,8 @@
 
 Subcommands: train-mae, train-ssae, finetune, encode, decode, transmit,
 evaluate, sweep. Configuration comes from a flat key=value text file
-(``--config``); see README for the recognized keys.
+(``--config``); see README for the recognized keys. A key's default is the
+default of the library dataclass field it sets.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .pipeline import (
     RefineParams,
     TrainBudget,
     receive,
+    report,
     report_csv,
-    run_end_to_end,
     sweep,
     train_classifier_on,
     train_masker,
@@ -42,84 +43,51 @@ def parse_config(path):
     if path is None:
         return cfg
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path}:{number}: expected key = value, got {line!r}")
             cfg[key.strip()] = value.strip()
     return cfg
 
 
-def _int(cfg, key, default):
-    return int(cfg.get(key, default))
+# The keys a config file sets on each library dataclass; every other field keeps
+# its default. DistillConfig's `xi_range` is set by the keys `xi_lo` and `xi_hi`.
+CONFIG_KEYS = {
+    ViTConfig: ("patch_size", "dim", "blocks", "heads", "img_h", "img_w"),
+    DistillConfig: ("epsilon", "proj_dim", "masked_patches"),
+    MaskParams: ("rho",),
+    SSAEConfig: ("latent_channels", "downs", "bits", "stem_channels"),
+    RefineParams: ("psi", "eta", "palette_size", "run_bits"),
+    TrainBudget: ("distill_steps", "distill_lr", "ssae_steps", "ssae_lr",
+                  "finetune_steps", "finetune_lr", "batch_size"),
+}
 
 
-def _float(cfg, key, default):
-    return float(cfg.get(key, default))
-
-
-def _vit_config(cfg):
-    return ViTConfig(
-        patch_size=_int(cfg, "patch_size", 8),
-        dim=_int(cfg, "dim", 32),
-        blocks=_int(cfg, "blocks", 2),
-        heads=_int(cfg, "heads", 4),
-        img_h=_int(cfg, "img_h", 32),
-        img_w=_int(cfg, "img_w", 32),
-    )
-
-
-def _distill_config(cfg):
-    return DistillConfig(
-        epsilon=_float(cfg, "epsilon", 0.1),
-        proj_dim=_int(cfg, "proj_dim", 16),
-        masked_patches=_int(cfg, "masked_patches", 4),
-        xi_range=(_float(cfg, "xi_lo", 0.9), _float(cfg, "xi_hi", 1.1)),
-    )
-
-
-def _ssae_config(cfg):
-    return SSAEConfig(
-        latent_channels=_int(cfg, "latent_channels", 4),
-        downs=_int(cfg, "downs", 3),
-        bits=_int(cfg, "bits", 8),
-        stem_channels=_int(cfg, "stem_channels", 32),
-    )
-
-
-def _refine_params(cfg):
-    return RefineParams(
-        psi=_float(cfg, "psi", 5e-3),
-        eta=_float(cfg, "eta", 0.5),
-        palette_size=_int(cfg, "palette_size", 8),
-        run_bits=_int(cfg, "run_bits", 4),
-    )
-
-
-def _budget(cfg):
-    return TrainBudget(
-        distill_steps=_int(cfg, "distill_steps", 150),
-        distill_lr=_float(cfg, "distill_lr", 0.05),
-        ssae_steps=_int(cfg, "ssae_steps", 400),
-        ssae_lr=_float(cfg, "ssae_lr", 0.3),
-        finetune_steps=_int(cfg, "finetune_steps", 250),
-        finetune_lr=_float(cfg, "finetune_lr", 0.05),
-        batch_size=_int(cfg, "batch_size", 8),
-    )
+def read_config(cls, cfg):
+    """Build dataclass `cls` from a parsed config: each key is parsed with the type
+    of its field's default, and a missing key keeps the default."""
+    values = {key: type(getattr(cls, key))(cfg[key]) for key in CONFIG_KEYS[cls] if key in cfg}
+    if cls is DistillConfig:
+        lo, hi = cls.xi_range
+        values["xi_range"] = (float(cfg.get("xi_lo", lo)), float(cfg.get("xi_hi", hi)))
+    return cls(**values)
 
 
 def _dataset(cfg, seed):
     source = cfg.get("dataset", "synthetic")
     if source == "synthetic":
         return synthetic_dataset(
-            _int(cfg, "num_classes", 4),
-            _int(cfg, "images_per_class", 25),
-            _int(cfg, "img_h", 32),
+            int(cfg.get("num_classes", 4)),
+            int(cfg.get("images_per_class", 25)),
+            int(cfg.get("img_h", ViTConfig.img_h)),
             seed,
         )
     if source == "stl10_binary":
-        images = load_stl10_binary(cfg["dataset_path"], limit=_int(cfg, "limit", 16))
+        images = load_stl10_binary(cfg["dataset_path"], limit=int(cfg.get("limit", 16)))
         from .datasets import SyntheticExample
 
         return [SyntheticExample(image=im, label=0, fg_mask=np.ones(im.shape[1:])) for im in images]
@@ -127,12 +95,11 @@ def _dataset(cfg, seed):
 
 
 def _load_masker(cfg, seed):
-    vit_cfg = _vit_config(cfg)
     net = MaskingNetwork(
-        vit_cfg,
-        _distill_config(cfg),
+        read_config(ViTConfig, cfg),
+        read_config(DistillConfig, cfg),
         rng=np.random.default_rng(seed),
-        mask_params=MaskParams(rho=_float(cfg, "rho", 2e-3)),
+        mask_params=read_config(MaskParams, cfg),
     )
     if "mae_ckpt" in cfg:
         load_params(cfg["mae_ckpt"], net.params)
@@ -140,57 +107,55 @@ def _load_masker(cfg, seed):
 
 
 def _load_ssae(cfg, seed):
-    ssae = SSAE(_ssae_config(cfg), rng=np.random.default_rng(seed))
+    ssae = SSAE(read_config(SSAEConfig, cfg), rng=np.random.default_rng(seed))
     if "ssae_ckpt" in cfg:
         ssae.load(cfg["ssae_ckpt"])
     return ssae
 
 
-def _write_log(path, losses, learning_rate):
-    """Per-step training log: one `step,loss,learning_rate` CSV row per step."""
-    with open(path, "w") as fh:
-        fh.write("step,loss,learning_rate\n")
-        for i, loss in enumerate(losses):
-            fh.write(f"{i},{loss!r},{learning_rate!r}\n")
+def _finish(args, save, losses, learning_rate):
+    """Trainers' ending: save the checkpoint, write the optional per-step log
+    (one `step,loss,learning_rate` CSV row per step), print the final loss, if any."""
+    save(args.out)
+    if args.log:
+        with open(args.log, "w") as fh:
+            fh.write("step,loss,learning_rate\n")
+            for i, loss in enumerate(losses):
+                fh.write(f"{i},{loss!r},{learning_rate!r}\n")
+    print(f"wrote {args.out} ({f'final loss {losses[-1]:.4f}' if losses else 'no steps'})")
 
 
 def cmd_train_mae(args):
     cfg = parse_config(args.config)
-    data = _dataset(cfg, args.seed)
-    budget = _budget(cfg)
+    budget = read_config(TrainBudget, cfg)
     student, _, losses = train_masker(
-        data, _vit_config(cfg), _distill_config(cfg), budget, args.seed
+        _dataset(cfg, args.seed), read_config(ViTConfig, cfg), read_config(DistillConfig, cfg),
+        budget, args.seed,
     )
-    save_params(args.out, student.params)
-    if args.log:
-        _write_log(args.log, losses, budget.distill_lr)
-    print(f"wrote {args.out} (final loss {losses[-1]:.4f})")
+    _finish(args, lambda path: save_params(path, student.params), losses, budget.distill_lr)
 
 
 def cmd_train_ssae(args):
     cfg = parse_config(args.config)
     data = _dataset(cfg, args.seed)
-    budget = _budget(cfg)
+    budget = read_config(TrainBudget, cfg)
     images = [ex.image for ex in data]
     if "mae_ckpt" in cfg:
         masker = _load_masker(cfg, args.seed)
         masks3 = [masker.semantic_mask(im).mask3 for im in images]
     else:
         masks3 = [np.broadcast_to(ex.fg_mask, ex.image.shape).copy() for ex in data]
-    ssae, losses = train_ssae_on(images, masks3, _ssae_config(cfg), budget, args.seed)
-    ssae.save(args.out)
-    if args.log:
-        _write_log(args.log, losses, budget.ssae_lr)
-    print(f"wrote {args.out} (final loss {losses[-1]:.4f})")
+    ssae, losses = train_ssae_on(images, masks3, read_config(SSAEConfig, cfg), budget, args.seed)
+    _finish(args, ssae.save, losses, budget.ssae_lr)
 
 
 def cmd_finetune(args):
     cfg = parse_config(args.config)
-    frac = _float(cfg, "labeled_fraction", 0.1)
+    frac = float(cfg.get("labeled_fraction", 0.1))
     if not 0 < frac <= 1:
         raise ValueError("labeled_fraction must lie in (0, 1]")
     data = _dataset(cfg, args.seed)
-    budget = _budget(cfg)
+    budget = read_config(TrainBudget, cfg)
     rng = np.random.default_rng(args.seed)
     n_labeled = max(1, int(round(frac * len(data))))
     idx = rng.choice(len(data), size=n_labeled, replace=False)
@@ -199,19 +164,18 @@ def cmd_finetune(args):
     if "mae_ckpt" in cfg:
         backbone = _load_masker(cfg, args.seed).params
     model, losses = train_classifier_on(
-        pairs, _vit_config(cfg), _int(cfg, "num_classes", 4), budget, args.seed,
+        pairs, read_config(ViTConfig, cfg), int(cfg.get("num_classes", 4)), budget, args.seed,
         backbone_params=backbone,
     )
-    save_params(args.out, model.params)
-    if args.log:
-        _write_log(args.log, losses, budget.finetune_lr)
-    print(f"wrote {args.out} (final loss {losses[-1]:.4f})")
+    _finish(args, lambda path: save_params(path, model.params), losses, budget.finetune_lr)
 
 
 def cmd_encode(args):
     cfg = parse_config(args.config)
     models = PipelineModels(_load_masker(cfg, args.seed), _load_ssae(cfg, args.seed))
-    frame, mask = transmit(read_ppm(args.input), models, _refine_params(cfg), args.seed)
+    frame, mask = transmit(
+        read_ppm(args.input), models, read_config(RefineParams, cfg), args.seed
+    )
     with open(args.out, "wb") as fh:
         fh.write(frame)
     if args.mask_out:
@@ -235,9 +199,7 @@ def cmd_transmit(args):
         channel = ChannelConfig(mode="awgn_snr_db", snr_db=args.snr_db, seed=args.seed)
     else:
         channel = ChannelConfig(mode="bsc_ber", ber=args.ber, seed=args.seed)
-    fec = CODECS[args.fec]
-    bits = bytes_to_bits(frame)
-    received = fec.decode(channel.apply(fec.encode(bits)))
+    received = channel.send(bytes_to_bits(frame), CODECS[args.fec])
     with open(args.out, "wb") as fh:
         fh.write(bits_to_bytes(received)[: len(frame)])
     print(f"wrote {args.out}")
@@ -249,7 +211,8 @@ def _models(cfg, seed):
     clf = None
     if "classifier_ckpt" in cfg:
         clf = ClassifierModel(
-            _vit_config(cfg), _int(cfg, "num_classes", 4), rng=np.random.default_rng(seed)
+            read_config(ViTConfig, cfg), int(cfg.get("num_classes", 4)),
+            rng=np.random.default_rng(seed),
         )
         load_params(cfg["classifier_ckpt"], clf.params)
     return PipelineModels(
@@ -257,18 +220,17 @@ def _models(cfg, seed):
     )
 
 
+def _examples(cfg, seed):
+    return [(ex.image, ex.label) for ex in _dataset(cfg, seed)]
+
+
 def cmd_evaluate(args):
     cfg = parse_config(args.config)
-    data = _dataset(cfg, args.seed)
-    models = _models(cfg, args.seed)
-    refine = _refine_params(cfg)
-    channel = ChannelConfig(mode="bsc_ber", ber=_float(cfg, "ber", 0.0), seed=0)
-    rows = []
-    for i, ex in enumerate(data):
-        _, _, row = run_end_to_end(
-            ex.image, models, refine, channel, label=ex.label, seed=args.seed + i
-        )
-        rows.append(row)
+    channel = ChannelConfig(mode="bsc_ber", ber=float(cfg.get("ber", 0.0)), seed=0)
+    rows = report(
+        _examples(cfg, args.seed), _models(cfg, args.seed), read_config(RefineParams, cfg),
+        channel, base_seed=args.seed,
+    )
     with open(args.out, "w") as fh:
         fh.write(report_csv(rows))
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -276,15 +238,11 @@ def cmd_evaluate(args):
 
 def cmd_sweep(args):
     cfg = parse_config(args.config)
-    data = _dataset(cfg, args.seed)
-    models = _models(cfg, args.seed)
-    refine = _refine_params(cfg)
     grid = [float(v) for v in cfg.get("grid", "0,0.001,0.01,0.1").split(",")]
-    mode = cfg.get("grid_mode", "bsc_ber")
-    examples = [(ex.image, ex.label) for ex in data]
     _, csv = sweep(
-        examples, grid, models, refine,
-        replicates=_int(cfg, "replicates", 1), base_seed=args.seed, mode=mode,
+        _examples(cfg, args.seed), grid, _models(cfg, args.seed), read_config(RefineParams, cfg),
+        replicates=int(cfg.get("replicates", 1)), base_seed=args.seed,
+        mode=cfg.get("grid_mode", "bsc_ber"),
     )
     with open(args.out, "w") as fh:
         fh.write(csv)
@@ -300,20 +258,15 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-mae", help="distill the student masking network")
-    common(p)
-    p.add_argument("--log", default=None)
-    p.set_defaults(func=cmd_train_mae)
-
-    p = sub.add_parser("train-ssae", help="train the semantic autoencoder")
-    common(p)
-    p.add_argument("--log", default=None)
-    p.set_defaults(func=cmd_train_ssae)
-
-    p = sub.add_parser("finetune", help="fine-tune the classifier head")
-    common(p)
-    p.add_argument("--log", default=None)
-    p.set_defaults(func=cmd_finetune)
+    for name, func, text in (
+        ("train-mae", cmd_train_mae, "distill the student masking network"),
+        ("train-ssae", cmd_train_ssae, "train the semantic autoencoder"),
+        ("finetune", cmd_finetune, "fine-tune the classifier head"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--log", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("encode", help="PPM image -> .gscf frame")
     common(p)

@@ -126,6 +126,8 @@ def read_ppm(path):
     h_tok, pos = _read_token(blob, pos)
     max_tok, pos = _read_token(blob, pos)
     w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
+    if w < 1 or h < 1:
+        raise DatasetFormatError(f"PPM extents {w}x{h} must be at least 1x1", offset=pos)
     if maxval != 255:
         raise DatasetFormatError(f"unsupported maxval {maxval}", offset=pos)
     pos += 1  # single whitespace after maxval

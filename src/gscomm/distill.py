@@ -24,7 +24,7 @@ LUMA = np.array([0.299, 0.587, 0.114])
 class DistillConfig:
     epsilon: float = 0.1  # softmax temperature
     proj_dim: int = 16  # K
-    masked_patches: int = 10  # X
+    masked_patches: int = 4  # X
     xi_range: tuple = (0.9, 1.1)
 
     def __post_init__(self):

@@ -84,10 +84,3 @@ def write_pbm(path, mask2d):
         lines.append(" ".join("1" if v > 0.5 else "0" for v in row) + "\n")
     with open(path, "w") as fh:
         fh.writelines(lines)
-
-
-def write_patch_weights_csv(path, patch_weights):
-    with open(path, "w") as fh:
-        fh.write("patch_index,weight\n")
-        for i, wgt in enumerate(patch_weights):
-            fh.write(f"{i},{wgt!r}\n")

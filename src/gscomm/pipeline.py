@@ -75,9 +75,7 @@ def run_end_to_end(image, models, refine, channel, label=None, seed=0):
     payload_bits = 8 * len(frame)
 
     sent = bytes_to_bits(frame)
-    coded = models.fec.encode(sent)
-    received = replace(channel, seed=seed ^ channel.seed).apply(coded)
-    decoded = models.fec.decode(received)
+    decoded = replace(channel, seed=seed ^ channel.seed).send(sent, models.fec)
     ber = measure_ber(sent, decoded)
 
     fraction = float(mask.mask.mean())
@@ -124,9 +122,18 @@ def report_csv(rows):
     return _csv(REPORT_COLUMNS, [vars(r) for r in rows])
 
 
+def report(examples, models, refine, channel, base_seed=0):
+    """One run_end_to_end row per (image, label) example; example i uses seed base_seed + i."""
+    return [
+        run_end_to_end(image, models, refine, channel, label=label, seed=base_seed + i)[2]
+        for i, (image, label) in enumerate(examples)
+    ]
+
+
 def sweep(examples, grid_values, models, refine, replicates=1, base_seed=0,
           mode="bsc_ber"):
-    """Grid sweep; one CSV row per (grid value, replicate). Returns (rows, csv).
+    """Grid sweep; one CSV row per (grid value, replicate), averaging that point's
+    `report` over the delivered images. Returns (rows, csv).
 
     `mode` is a ChannelConfig mode: each grid value is a BER or an SNR in dB.
     """
@@ -136,20 +143,12 @@ def sweep(examples, grid_values, models, refine, replicates=1, base_seed=0,
     for gi, value in enumerate(grid_values):
         channel = ChannelConfig(mode=mode, ber=value, snr_db=value, seed=0)
         for rep in range(replicates):
-            psnrs, accs, payloads, failures = [], [], [], 0
-            for ii, (image, label) in enumerate(examples):
-                seed = base_seed + 1_000_003 * gi + 7919 * rep + ii
-                _, _, row = run_end_to_end(
-                    image, models, refine, channel, label=label, seed=seed
-                )
-                if row.failure:
-                    failures += 1
-                    continue
-                if not math.isnan(row.masked_psnr_db) and not math.isinf(row.masked_psnr_db):
-                    psnrs.append(row.masked_psnr_db)
-                if not math.isnan(row.accuracy):
-                    accs.append(row.accuracy)
-                payloads.append(row.payload_bits)
+            rows = report(examples, models, refine, channel,
+                          base_seed + 1_000_003 * gi + 7919 * rep)
+            delivered = [row for row in rows if not row.failure]
+            psnrs = [r.masked_psnr_db for r in delivered if math.isfinite(r.masked_psnr_db)]
+            accs = [r.accuracy for r in delivered if not math.isnan(r.accuracy)]
+            payloads = [r.payload_bits for r in delivered]
             out.append(
                 {
                     "grid_value": value,
@@ -157,7 +156,7 @@ def sweep(examples, grid_values, models, refine, replicates=1, base_seed=0,
                     "mean_masked_psnr_db": float(np.mean(psnrs)) if psnrs else math.nan,
                     "mean_accuracy": float(np.mean(accs)) if accs else math.nan,
                     "mean_payload_bits": float(np.mean(payloads)) if payloads else math.nan,
-                    "failures": failures,
+                    "failures": len(rows) - len(delivered),
                 }
             )
     return out, _csv(SWEEP_COLUMNS, out)

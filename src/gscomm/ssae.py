@@ -109,8 +109,7 @@ class SSAE:
         shape = (1, -1, 1, 1) if x.data.ndim == 4 else (-1, 1, 1)
         x = ad.conv2d(x, self.params[name + ".k"].value, stride=1, padding=1)
         x = x + b.reshape(shape)
-        key = name.rsplit(".", 1)[0] if name.endswith(".k") else name
-        return ad.relu(ad.batchnorm(x, self.bn[key], training=training))
+        return ad.relu(ad.batchnorm(x, self.bn[name], training=training))
 
     def encode(self, image, training=False):
         """Image(s) -> latent Tensor in [0,1]."""

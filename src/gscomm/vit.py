@@ -138,18 +138,3 @@ def vit_forward(image, config, params):
         )
         x = x + mlp
     return x, s.data
-
-
-class ViT:
-    """Backbone bundling a config with its parameter dict."""
-
-    def __init__(self, config, rng=None, learnable=True, params=None):
-        self.config = config
-        if params is None:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            params = init_vit_params(config, rng, learnable=learnable)
-        self.params = params
-
-    def forward(self, image):
-        return vit_forward(image, self.config, self.params)

@@ -5,7 +5,6 @@ from gscomm.classifier import (
     ClassifierConfig,
     ClassifierModel,
     classify,
-    evaluate_accuracy,
     finetune,
 )
 from gscomm.datasets import synthetic_dataset
@@ -42,7 +41,7 @@ class TestClassify:
     def test_untrained_chance_level(self, vit_config):
         data = synthetic_dataset(3, 30, 16, seed=4)
         model = ClassifierModel(vit_config, num_classes=3, rng=np.random.default_rng(1))
-        acc = evaluate_accuracy(model, [(ex.image, ex.label) for ex in data])
+        acc = np.mean([classify(ex.image, model).label == ex.label for ex in data])
         n = len(data)
         sigma = np.sqrt((1 / 3) * (2 / 3) / n)
         assert abs(acc - 1 / 3) < 3.5 * sigma + 1 / 3  # loose: untrained != anti-correlated
@@ -83,16 +82,3 @@ class TestFinetune:
         cfg = ClassifierConfig(num_classes=3, steps=5, head_only=True)
         finetune(model, [(rng.random((3, 16, 16)), 1)], cfg)
         assert np.array_equal(model.params["blk0.wq"].value.data, before)
-
-
-class TestEvaluate:
-    def test_perfect_and_complement(self, vit_config, rng):
-        model = ClassifierModel(vit_config, num_classes=2, rng=np.random.default_rng(5))
-        images = [rng.random((3, 16, 16)) for _ in range(10)]
-        preds = [classify(im, model).label for im in images]
-        assert evaluate_accuracy(model, list(zip(images, preds))) == 1.0
-        assert evaluate_accuracy(model, [(im, 1 - p) for im, p in zip(images, preds)]) == 0.0
-
-    def test_empty_set(self, model):
-        with pytest.raises(ValueError):
-            evaluate_accuracy(model, [])

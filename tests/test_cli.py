@@ -1,11 +1,18 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from gscomm.channel import ChannelConfig
-from gscomm.cli import _models, _refine_params, main, parse_config
+from gscomm.cli import _models, main, parse_config, read_config
 from gscomm.datasets import read_ppm, write_ppm
+from gscomm.distill import DistillConfig
 from gscomm.framing import parse_frame
-from gscomm.pipeline import receive, run_end_to_end, transmit
+from gscomm.masking import MaskParams
+from gscomm.pipeline import RefineParams, TrainBudget, receive, run_end_to_end, transmit
+from gscomm.ssae import SSAEConfig
+from gscomm.vit import ViTConfig
 
 
 @pytest.fixture
@@ -38,6 +45,50 @@ def test_parse_config(tmp_path):
     path.write_text("a = 1  # trailing\n\n# full-line comment\nb=x y\n")
     assert parse_config(path) == {"a": "1", "b": "x y"}
     assert parse_config(None) == {}
+
+
+def test_parse_config_rejects_line_without_equals(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("dim = 16\n\npatch_size 4  # missing '='\n")
+    message = f"{path}:3: expected key = value, got 'patch_size 4'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(path)
+
+
+# Every key the README documents for a library dataclass, each at a non-default value.
+DOCUMENTED = {
+    "patch_size": "4", "dim": "24", "blocks": "3", "heads": "6", "img_h": "24", "img_w": "12",
+    "rho": "0.01",
+    "epsilon": "0.3", "proj_dim": "9", "masked_patches": "7", "xi_lo": "0.8", "xi_hi": "1.2",
+    "latent_channels": "5", "downs": "1", "bits": "6", "stem_channels": "12",
+    "psi": "0.02", "eta": "0.25", "palette_size": "5", "run_bits": "3",
+    "distill_steps": "11", "distill_lr": "0.125", "ssae_steps": "12", "ssae_lr": "0.5",
+    "finetune_steps": "13", "finetune_lr": "0.0625", "batch_size": "3",
+}
+WRITTEN = [
+    ViTConfig(patch_size=4, dim=24, blocks=3, heads=6, img_h=24, img_w=12),
+    MaskParams(rho=0.01),
+    DistillConfig(epsilon=0.3, proj_dim=9, masked_patches=7, xi_range=(0.8, 1.2)),
+    SSAEConfig(latent_channels=5, downs=1, bits=6, stem_channels=12),
+    RefineParams(psi=0.02, eta=0.25, palette_size=5, run_bits=3),
+    TrainBudget(distill_steps=11, distill_lr=0.125, ssae_steps=12, ssae_lr=0.5,
+                finetune_steps=13, finetune_lr=0.0625, batch_size=3),
+]
+
+
+@pytest.mark.parametrize("written", WRITTEN, ids=lambda w: type(w).__name__)
+def test_read_config_sets_exactly_the_documented_keys(written):
+    cls = type(written)
+    assert read_config(cls, {}) == cls()
+    # every undocumented field name is present too, and must be ignored
+    cfg = dict(DOCUMENTED)
+    for other in WRITTEN:
+        cfg.update({f.name: "3" for f in fields(other) if f.name not in DOCUMENTED})
+    got = read_config(cls, cfg)
+    assert vars(got) == vars(written)
+    assert {k: type(v) for k, v in vars(got).items()} == {
+        k: type(v) for k, v in vars(written).items()
+    }
 
 
 def test_train_ssae_and_codec_roundtrip(tmp_path, tiny_config, capsys):
@@ -83,6 +134,19 @@ def test_train_mae_writes_log(tmp_path, tiny_config):
     assert len(lines) == 3  # header + 2 steps
 
 
+@pytest.mark.parametrize("command, steps_key", [
+    ("train-mae", "distill_steps"), ("train-ssae", "ssae_steps"), ("finetune", "finetune_steps"),
+])
+def test_trainer_with_zero_steps(tmp_path, tiny_config, capsys, command, steps_key):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(tiny_config.read_text() + f"{steps_key} = 0\n")
+    ckpt, log = tmp_path / "zero.ckpt", tmp_path / "zero.csv"
+    main([command, "--config", str(cfg), "--out", str(ckpt), "--log", str(log)])
+    assert ckpt.exists()
+    assert log.read_text() == "step,loss,learning_rate\n"
+    assert capsys.readouterr().out == f"wrote {ckpt} (no steps)\n"
+
+
 def test_finetune_writes_log(tmp_path, tiny_config):
     cfg = tmp_path / "ft.cfg"
     cfg.write_text(tiny_config.read_text() + "finetune_lr = 0.02\n")
@@ -110,7 +174,7 @@ def test_encode_and_decode_are_the_pipeline_halves(tmp_path, tiny_config):
           "--seed", "3"])
 
     models = _models(parse_config(cfg), 3)
-    refine = _refine_params(parse_config(cfg))
+    refine = read_config(RefineParams, parse_config(cfg))
     frame, _ = transmit(image, models, refine, seed=3)
     assert frame_path.read_bytes() == frame
     assert parse_frame(frame)[1].t_prime > 0

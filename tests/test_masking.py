@@ -7,7 +7,6 @@ from gscomm.masking import (
     build_semantic_mask,
     cls_attention_maps,
     mask_from_array,
-    write_patch_weights_csv,
     write_pbm,
 )
 from gscomm.vit import ViTConfig
@@ -110,13 +109,10 @@ class TestApplyMask:
 
 
 class TestExports:
-    def test_pbm_and_csv(self, tmp_path, rng):
+    def test_pbm(self, tmp_path, rng):
         mask = (rng.random((4, 4)) > 0.5).astype(float)
         pbm = tmp_path / "m.pbm"
         write_pbm(pbm, mask)
         text = pbm.read_text().splitlines()
         assert text[0] == "P1"
         assert text[1] == "4 4"
-        csv = tmp_path / "w.csv"
-        write_patch_weights_csv(csv, [0.1, 0.2])
-        assert csv.read_text().splitlines()[0] == "patch_index,weight"

@@ -21,6 +21,7 @@ from gscomm.metrics import masked_psnr
 from gscomm.pipeline import (
     PipelineModels,
     RefineParams,
+    report,
     report_csv,
     run_end_to_end,
     sweep,
@@ -109,6 +110,13 @@ class TestPpm:
         with pytest.raises(DatasetFormatError):
             read_ppm(p)
 
+    @pytest.mark.parametrize("extents", [b"0 4", b"4 0", b"-2 4", b"4 -1"])
+    def test_empty_or_negative_extents(self, tmp_path, extents):
+        p = tmp_path / "empty.ppm"
+        p.write_bytes(b"P6\n" + extents + b"\n255\n" + bytes(48))
+        with pytest.raises(DatasetFormatError, match="must be at least 1x1"):
+            read_ppm(p)
+
 
 # ---------------------------------------------------------------------------
 # masked PSNR
@@ -168,20 +176,42 @@ class TestMaskedPsnr:
 
 
 class TestCheckpoint:
-    def test_roundtrip_and_checksum(self, tmp_path, rng):
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """(checkpoint path, the saved params, a differently seeded target dict)."""
         vit = ViTConfig(patch_size=8, dim=16, blocks=1, heads=2, img_h=16, img_w=16)
         net = MaskingNetwork(vit, DistillConfig(proj_dim=8), rng=np.random.default_rng(0))
         path = tmp_path / "net.ckpt"
         save_params(path, net.params)
         other = MaskingNetwork(vit, DistillConfig(proj_dim=8), rng=np.random.default_rng(9))
-        load_params(path, other.params)
-        for k in net.params:
-            assert np.allclose(
-                other.params[k].value.data, net.params[k].value.data, atol=1e-6
-            )
-        assert params_checksum(other.params) == pytest.approx(
-            params_checksum(net.params), rel=1e-6
-        )
+        return path, net.params, other.params
+
+    def test_roundtrip_and_checksum(self, saved):
+        path, params, target = saved
+        load_params(path, target)
+        for k in params:
+            assert np.allclose(target[k].value.data, params[k].value.data, atol=1e-6)
+        assert params_checksum(target) == pytest.approx(params_checksum(params), rel=1e-6)
+
+    @staticmethod
+    def _rejected_unchanged(path, target, match):
+        before = {k: p.value.data.copy() for k, p in target.items()}
+        with pytest.raises(DatasetFormatError, match=match):
+            load_params(path, target)
+        for k, p in target.items():
+            assert np.array_equal(p.value.data, before[k])
+
+    def test_missing_tensor_rejected(self, tmp_path, saved):
+        _, params, target = saved
+        short = tmp_path / "short.ckpt"
+        save_params(short, {k: p for k, p in params.items() if k != "head.b2"})
+        self._rejected_unchanged(short, target, "checkpoint lacks tensor 'head.b2'")
+
+    def test_trailing_bytes_rejected(self, saved):
+        path, _, target = saved
+        with open(path, "ab") as fh:
+            fh.write(bytes(4))
+        self._rejected_unchanged(path, target, "trailing bytes after the last tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +308,24 @@ class TestReportAndSweep:
         assert csv_a == csv_b
         zero = [r for r in rows_a if r["grid_value"] == 0.0]
         assert all(r["failures"] == 0 for r in zero)
+
+    def test_report_rows_use_consecutive_seeds_and_sweep_averages_them(self, small_models,
+                                                                         rng):
+        examples = [(rng.random((3, 32, 32)), i % 2) for i in range(3)]
+        channel = ChannelConfig(mode="bsc_ber", ber=0.001, seed=0)
+        rows = report(examples, small_models, RefineParams(), channel, base_seed=5)
+        expected = [
+            run_end_to_end(image, small_models, RefineParams(), channel, label=label,
+                           seed=5 + i)[2]
+            for i, (image, label) in enumerate(examples)
+        ]
+        assert report_csv(rows) == report_csv(expected)
+
+        (point,), _ = sweep(examples, [0.001], small_models, RefineParams(), base_seed=5)
+        delivered = [r.payload_bits for r in rows if not r.failure]
+        assert 0 < len(delivered) < len(rows)  # this seed mixes delivered and failed frames
+        assert point["failures"] == len(rows) - len(delivered)
+        assert point["mean_payload_bits"] == pytest.approx(np.mean(delivered))
 
     def test_empty_grid(self, small_models):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fd_gradient
 from gscomm.autodiff import Tensor
-from gscomm.vit import ViT, ViTConfig, init_vit_params, patchify, unpatchify, vit_forward
+from gscomm.vit import ViTConfig, init_vit_params, patchify, unpatchify, vit_forward
 
 
 def _layernorm(x, eps=1e-5):
@@ -88,14 +88,14 @@ class TestConfig:
 class TestForward:
     def test_token_matrix_shape(self, rng):
         cfg = ViTConfig(patch_size=8, dim=32, blocks=2, heads=4, img_h=96, img_w=96)
-        vit = ViT(cfg, rng=rng)
-        tokens, attention = vit.forward(rng.random((3, 96, 96)))
+        params = init_vit_params(cfg, rng)
+        tokens, attention = vit_forward(rng.random((3, 96, 96)), cfg, params)
         assert tokens.data.shape == (145, 32)
         assert attention.shape == (4, 145, 145)
 
     def test_attention_rows_stochastic(self, rng, small_config):
-        vit = ViT(small_config, rng=rng)
-        _, attention = vit.forward(rng.random((3, 16, 16)))
+        params = init_vit_params(small_config, rng)
+        _, attention = vit_forward(rng.random((3, 16, 16)), small_config, params)
         assert attention.shape == (4, 5, 5)
         assert np.abs(attention.sum(axis=-1) - 1.0).max() < 1e-9
 
@@ -114,50 +114,50 @@ class TestForward:
         np.testing.assert_allclose(attention, ref_attention, rtol=0, atol=1e-12)
 
     def test_wrong_extents_rejected(self, rng, small_config):
-        vit = ViT(small_config, rng=rng)
+        params = init_vit_params(small_config, rng)
         with pytest.raises(ValueError):
-            vit.forward(rng.random((3, 32, 32)))
+            vit_forward(rng.random((3, 32, 32)), small_config, params)
 
     def test_permutation_equivariance_with_zero_pos_embed(self, rng, small_config):
-        vit = ViT(small_config, rng=rng)
-        vit.params["pos_embed"].value.data[:] = 0.0
+        params = init_vit_params(small_config, rng)
+        params["pos_embed"].value.data[:] = 0.0
         image = rng.random((3, 16, 16))
         patches = patchify(image, 8)
         swapped = patches[[1, 0, 2, 3]]
         image2 = unpatchify(swapped, 8, 16, 16)
-        t1, _ = vit.forward(image)
-        t2, _ = vit.forward(image2)
+        t1, _ = vit_forward(image, small_config, params)
+        t2, _ = vit_forward(image2, small_config, params)
         assert t2.data[1] == pytest.approx(t1.data[2], abs=1e-12)
         assert t2.data[2] == pytest.approx(t1.data[1], abs=1e-12)
         assert t2.data[0] == pytest.approx(t1.data[0], abs=1e-12)
 
     def test_deterministic(self, rng, small_config):
-        vit = ViT(small_config, rng=rng)
+        params = init_vit_params(small_config, rng)
         image = rng.random((3, 16, 16))
-        a, _ = vit.forward(image)
-        b, _ = vit.forward(image)
+        a, _ = vit_forward(image, small_config, params)
+        b, _ = vit_forward(image, small_config, params)
         assert np.array_equal(a.data, b.data)
 
     def test_end_to_end_gradient(self, rng):
         cfg = ViTConfig(patch_size=4, dim=4, blocks=1, heads=2, img_h=4, img_w=4)
-        vit = ViT(cfg, rng=rng)
+        params = init_vit_params(cfg, rng)
         image = rng.random((3, 4, 4))
         w = rng.random(cfg.dim)
         name = "blk0.wq"
 
         def loss_value(kernel_data):
-            old = vit.params[name].value.data
-            vit.params[name].value.data = kernel_data
-            tokens, _ = vit.forward(image)
+            old = params[name].value.data
+            params[name].value.data = kernel_data
+            tokens, _ = vit_forward(image, cfg, params)
             val = (tokens[0] * Tensor(w)).sum().item()
-            vit.params[name].value.data = old
+            params[name].value.data = old
             return val
 
-        tokens, _ = vit.forward(image)
+        tokens, _ = vit_forward(image, cfg, params)
         (tokens[0] * Tensor(w)).sum().backward()
-        analytic = vit.params[name].value.grad
-        numeric = fd_gradient(loss_value, [vit.params[name].value.data.copy()], 0)
+        analytic = params[name].value.grad
+        numeric = fd_gradient(loss_value, [params[name].value.data.copy()], 0)
         err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
         assert err.max() < 1e-3
-        for p in vit.params.values():
+        for p in params.values():
             p.value.zero_grad()
