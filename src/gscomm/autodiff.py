@@ -35,11 +35,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=False):
+    def __init__(self, data, parents=(), requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = tuple(parents)
-        self._backward = backward
+        self._backward = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in self._parents)
 
     @property
@@ -194,14 +194,17 @@ class Tensor:
 class Parameter:
     """A named leaf tensor; non-learnable parameters never change under sgd_step."""
 
-    __slots__ = ("value", "learnable")
+    __slots__ = ("value",)
 
     def __init__(self, value, learnable=True):
         if not isinstance(value, Tensor):
             value = Tensor(value)
         value.requires_grad = bool(learnable)
         self.value = value
-        self.learnable = bool(learnable)
+
+    @property
+    def learnable(self):
+        return self.value.requires_grad
 
     @property
     def data(self):

@@ -20,7 +20,6 @@ class ClassifierConfig:
     lr: float = 0.05
     steps: int = 200
     batch_size: int = 8
-    head_only: bool = False
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -73,11 +72,6 @@ def finetune(model, labeled, config, rng=None):
             raise ValueError(f"label {label} out of range [0, {config.num_classes})")
     if rng is None:
         rng = np.random.default_rng(0)
-    if config.head_only:
-        for name, p in model.params.items():
-            if not name.startswith("cls_head."):
-                p.learnable = False
-                p.value.requires_grad = False
     losses = []
     n = len(labeled)
     for _ in range(config.steps):

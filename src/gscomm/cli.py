@@ -78,13 +78,14 @@ def read_config(cls, cfg):
 
 
 def _dataset(cfg, seed):
+    img_h, img_w = int(cfg.get("img_h", ViTConfig.img_h)), int(cfg.get("img_w", ViTConfig.img_w))
+    if img_w != img_h:
+        raise ValueError(f"img_w = {img_w} differs from img_h = {img_h}: "
+                         "both dataset sources give square images")
     source = cfg.get("dataset", "synthetic")
     if source == "synthetic":
         return synthetic_dataset(
-            int(cfg.get("num_classes", 4)),
-            int(cfg.get("images_per_class", 25)),
-            int(cfg.get("img_h", ViTConfig.img_h)),
-            seed,
+            int(cfg.get("num_classes", 4)), int(cfg.get("images_per_class", 25)), img_h, seed
         )
     if source == "stl10_binary":
         images = load_stl10_binary(cfg["dataset_path"], limit=int(cfg.get("limit", 16)))

@@ -11,7 +11,6 @@ zero-padded to a byte boundary.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +31,6 @@ def bits_to_bytes(bits):
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
-@dataclass
-class FrameHeader:
-    img_h: int
-    img_w: int
-    patch_size: int
-    latent_channels: int
-    downs: int
-    bits: int
-    refine: bool
-    palette_size: int
-    run_bits: int
-    t_prime: int
-
-    @property
-    def num_patches(self):
-        return (self.img_h // self.patch_size) * (self.img_w // self.patch_size)
-
-
 def _levels_to_bits(levels, n):
     flat = np.asarray(levels, dtype=np.int64).reshape(-1)
     shifts = np.arange(n - 1, -1, -1)
@@ -61,10 +42,33 @@ def _bits_to_levels(bits, count, n):
     return (bits[: count * n].reshape(count, n).astype(np.int64) << shifts).sum(axis=1)
 
 
-def serialize_frame(quantized, plan, config, dims):
-    """Pack (quantized latent, refinement plan) into a frame byte string."""
-    img_h, img_w, patch_size = dims
+def _section_sizes(img_h, img_w, patch_size, c_o, downs, n_bits):
+    """(T, latent level count, latent bytes, flag bytes) that the header fields give."""
     t = (img_h // patch_size) * (img_w // patch_size)
+    latent_count = c_o * (img_h >> downs) * (img_w >> downs)
+    return t, latent_count, (latent_count * n_bits + 7) // 8, (t + 7) // 8
+
+
+def serialize_frame(quantized, plan, config, dims):
+    """Pack (quantized latent, refinement plan) into a frame byte string.
+
+    Raises ValueError, naming the field, for any header field or RLE bit count
+    that its u8/u16 slot cannot hold.
+    """
+    img_h, img_w, patch_size = dims
+    geometry = (config.latent_channels, config.downs, config.bits)
+    # N needs no check here: SSAEConfig holds it to [1, 16]
+    for name, value, limit in (
+        ("H", img_h, 0xFFFF), ("W", img_w, 0xFFFF), ("P", patch_size, 0xFF),
+        ("C_o", geometry[0], 0xFF), ("D", geometry[1], 0xFF),
+        ("F", plan.palette_size, 0xFF), ("L", plan.run_bits, 0xFF), ("T'", plan.t_prime, 0xFFFF),
+        ("RLE bit count", plan.rle_bits.size, 0xFFFF),
+    ):
+        if not 0 <= value <= limit:
+            raise ValueError(
+                f"{name} = {value} does not fit its {limit.bit_length()}-bit frame field"
+            )
+    t = _section_sizes(*dims, *geometry)[0]
     if plan.flags.size != t:
         raise ValueError(f"flag count {plan.flags.size} does not match T={t}")
     latent_shape = config.latent_shape(img_h, img_w)
@@ -77,19 +81,8 @@ def serialize_frame(quantized, plan, config, dims):
 
     refine = plan.t_prime > 0
     header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        img_h,
-        img_w,
-        patch_size,
-        config.latent_channels,
-        config.downs,
-        config.bits,
-        1 if refine else 0,
-        plan.palette_size,
-        plan.run_bits,
-        plan.t_prime,
-        0,
+        MAGIC, VERSION, *dims, *geometry, 1 if refine else 0,
+        plan.palette_size, plan.run_bits, plan.t_prime, 0,
     )
     parts = [header, bits_to_bytes(_levels_to_bits(quantized.levels, config.bits))]
     parts.append(bits_to_bytes(plan.flags))
@@ -101,7 +94,8 @@ def serialize_frame(quantized, plan, config, dims):
 
 
 def parse_frame(data):
-    """Unpack a frame; returns (QuantizedLatent, RefinementPlan, FrameHeader)."""
+    """Unpack a frame: the inverse of `serialize_frame`, returning its
+    (QuantizedLatent, RefinementPlan, dims), with dims = (H, W, P)."""
     data = bytes(data)
     if len(data) < HEADER_BYTES:
         raise CorruptFrameError("frame shorter than fixed header")
@@ -115,11 +109,9 @@ def parse_frame(data):
     if c_o < 1 or not 1 <= n_bits <= 16 or img_h % (1 << downs) or img_w % (1 << downs):
         raise CorruptFrameError("inconsistent latent geometry fields")
 
-    t = (img_h // patch_size) * (img_w // patch_size)
-    latent_count = c_o * (img_h >> downs) * (img_w >> downs)
-    latent_bytes = (latent_count * n_bits + 7) // 8
-    flag_bytes = (t + 7) // 8
-
+    t, latent_count, latent_bytes, flag_bytes = _section_sizes(
+        img_h, img_w, patch_size, c_o, downs, n_bits
+    )
     pos = HEADER_BYTES
     if len(data) < pos + latent_bytes + flag_bytes:
         raise CorruptFrameError("truncated latent/flag sections")
@@ -127,7 +119,7 @@ def parse_frame(data):
         bytes_to_bits(data[pos : pos + latent_bytes]), latent_count, n_bits
     ).reshape(c_o, img_h >> downs, img_w >> downs)
     pos += latent_bytes
-    flags = bytes_to_bits(data[pos : pos + flag_bytes])[:t].astype(np.uint8)
+    flags = bytes_to_bits(data[pos : pos + flag_bytes])[:t]
     pos += flag_bytes
 
     if refine:
@@ -146,44 +138,17 @@ def parse_frame(data):
         palette = np.zeros((f_pal, 3), dtype=np.uint8)
         rle_bits = np.zeros(0, dtype=np.uint8)
 
-    plan = RefinementPlan(
-        psi=0.0,
-        eta=0.0,
-        m_sel=0,
-        t_prime=t_prime,
-        flags=flags,
-        palette=palette.copy(),
-        palette_size=f_pal,
-        run_bits=l_run,
-        rle_bits=rle_bits.astype(np.uint8),
-        patch_size=patch_size,
-    )
-    header = FrameHeader(
-        img_h=img_h,
-        img_w=img_w,
-        patch_size=patch_size,
-        latent_channels=c_o,
-        downs=downs,
-        bits=n_bits,
-        refine=bool(refine),
-        palette_size=f_pal,
-        run_bits=l_run,
-        t_prime=t_prime,
-    )
-    quantized = QuantizedLatent(levels=levels, bits=n_bits)
-    return quantized, plan, header
+    plan = RefinementPlan(t_prime=t_prime, flags=flags, palette=palette.copy(), run_bits=l_run,
+                          rle_bits=rle_bits, patch_size=patch_size)
+    return QuantizedLatent(levels=levels, bits=n_bits), plan, (img_h, img_w, patch_size)
 
 
 def frame_size_bits(config, dims, plan=None):
     """Closed-form serialized size in bits (equals 8 * len(serialize_frame))."""
-    img_h, img_w, patch_size = dims
-    t = (img_h // patch_size) * (img_w // patch_size)
-    latent_count = config.latent_channels * (img_h >> config.downs) * (img_w >> config.downs)
-    total = HEADER_BYTES * 8
-    total += ((latent_count * config.bits + 7) // 8) * 8
-    total += ((t + 7) // 8) * 8
+    _, _, latent_bytes, flag_bytes = _section_sizes(
+        *dims, config.latent_channels, config.downs, config.bits
+    )
+    total = HEADER_BYTES + latent_bytes + flag_bytes
     if plan is not None and plan.t_prime > 0:
-        total += plan.palette_size * 3 * 8
-        total += 16
-        total += ((plan.rle_bits.size + 7) // 8) * 8
-    return total
+        total += plan.palette_size * 3 + 2 + (plan.rle_bits.size + 7) // 8
+    return total * 8

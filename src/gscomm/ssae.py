@@ -320,32 +320,27 @@ def rle_decode(bits, count, num_colors, run_bits):
 # ---------------------------------------------------------------------------
 
 
-MAX_RLE_BITS = 0xFFFF  # the frame stores the RLE bit count as a u16
-
-
 @dataclass
 class RefinementPlan:
-    psi: float
-    eta: float
-    m_sel: int
+    """The refinement fields a frame carries."""
+
     t_prime: int
     flags: np.ndarray  # (T,) uint8
     palette: np.ndarray  # (F, 3) uint8
-    palette_size: int
     run_bits: int  # L
     rle_bits: np.ndarray  # 0/1 uint8 array
     patch_size: int
 
+    @property
+    def palette_size(self):  # F
+        return self.palette.shape[0]
+
     @classmethod
-    def empty(cls, num_patches, palette_size, run_bits, patch_size, psi=0.0):
+    def empty(cls, num_patches, palette_size, run_bits, patch_size):
         return cls(
-            psi=psi,
-            eta=0.0,
-            m_sel=0,
             t_prime=0,
             flags=np.zeros(num_patches, dtype=np.uint8),
             palette=np.zeros((palette_size, 3), dtype=np.uint8),
-            palette_size=palette_size,
             run_bits=run_bits,
             rle_bits=np.zeros(0, dtype=np.uint8),
             patch_size=patch_size,
@@ -371,8 +366,8 @@ def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bit
     selected = np.flatnonzero(weights > psi)
     m_sel = selected.size
     t_prime = int(np.floor(eta * m_sel + 0.5))
-    if m_sel == 0 or t_prime == 0:
-        return RefinementPlan.empty(t, palette_size, run_bits, patch_size, psi=psi)
+    if t_prime == 0:
+        return RefinementPlan.empty(t, palette_size, run_bits, patch_size)
 
     image = np.asarray(image, dtype=np.float64)
     reconstruction = np.asarray(reconstruction, dtype=np.float64)
@@ -392,23 +387,8 @@ def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bit
     # assign against the byte-quantized palette so receiver-side fills are exact
     indices = _sq_distances(pixels.T * 255.0, palette.astype(np.float64)).argmin(axis=1)
     rle_bits = rle_encode(indices, palette_size, run_bits)
-    if rle_bits.size > MAX_RLE_BITS:
-        raise ValueError(
-            f"RLE stream of {rle_bits.size} bits exceeds the frame's limit of {MAX_RLE_BITS}"
-        )
-
-    return RefinementPlan(
-        psi=psi,
-        eta=t_prime / m_sel,
-        m_sel=m_sel,
-        t_prime=t_prime,
-        flags=flags,
-        palette=palette,
-        palette_size=palette_size,
-        run_bits=run_bits,
-        rle_bits=rle_bits,
-        patch_size=patch_size,
-    )
+    return RefinementPlan(t_prime=t_prime, flags=flags, palette=palette, run_bits=run_bits,
+                          rle_bits=rle_bits, patch_size=patch_size)
 
 
 def apply_refinement(reconstruction, plan):

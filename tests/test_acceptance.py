@@ -99,9 +99,8 @@ def _random_frame(rng):
         flags[rng.choice(t, size=t_prime, replace=False)] = 1
         indices = rng.integers(0, f, size=t_prime * patch * patch)
         plan = RefinementPlan(
-            psi=0.0, eta=1.0, m_sel=t_prime, t_prime=t_prime, flags=flags,
-            palette=rng.integers(0, 256, size=(f, 3)).astype(np.uint8),
-            palette_size=f, run_bits=run_bits,
+            t_prime=t_prime, flags=flags,
+            palette=rng.integers(0, 256, size=(f, 3)).astype(np.uint8), run_bits=run_bits,
             rle_bits=rle_encode(indices, f, run_bits), patch_size=patch,
         )
     else:

@@ -200,6 +200,15 @@ def test_finetune_rejects_labeled_fraction_outside_unit_interval(tmp_path, tiny_
     assert not ckpt.exists()
 
 
+def test_train_ssae_rejects_non_square_extents(tmp_path, tiny_config):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(tiny_config.read_text() + "img_w = 32\n")
+    ckpt = tmp_path / "ssae.ckpt"
+    with pytest.raises(ValueError, match="img_w = 32 differs from img_h = 16"):
+        main(["train-ssae", "--config", str(cfg), "--out", str(ckpt)])
+    assert not ckpt.exists()
+
+
 def test_evaluate_and_sweep(tmp_path, tiny_config):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text(tiny_config.read_text() + "ber = 0\ngrid = 0,0.01\n")

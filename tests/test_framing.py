@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,27 @@ from gscomm.framing import (
     parse_frame,
     serialize_frame,
 )
-from gscomm.ssae import QuantizedLatent, RefinementPlan, SSAEConfig, rle_encode
+from gscomm.masking import SemanticMask
+from gscomm.ssae import (
+    QuantizedLatent,
+    RefinementPlan,
+    SSAEConfig,
+    plan_refinement,
+    quantize,
+    rle_encode,
+)
+
+
+def refining_plan(rng, t, t_prime, f, l, patch):
+    """A plan refining `t_prime` random patches of `t`, with random palette and indices."""
+    flags = np.zeros(t, dtype=np.uint8)
+    flags[rng.choice(t, size=t_prime, replace=False)] = 1
+    indices = rng.integers(0, f, size=t_prime * patch * patch)
+    return RefinementPlan(
+        t_prime=t_prime, flags=flags,
+        palette=rng.integers(0, 256, size=(f, 3)).astype(np.uint8), run_bits=l,
+        rle_bits=rle_encode(indices, f, l), patch_size=patch,
+    )
 
 
 def random_frame(rng, refine=None):
@@ -33,19 +55,47 @@ def random_frame(rng, refine=None):
     if refine:
         f = int(rng.choice([2, 4, 8, 16]))
         l = int(rng.integers(1, 9))
-        t_prime = int(rng.integers(1, t + 1))
-        flags = np.zeros(t, dtype=np.uint8)
-        flags[rng.choice(t, size=t_prime, replace=False)] = 1
-        indices = rng.integers(0, f, size=t_prime * patch * patch)
-        plan = RefinementPlan(
-            psi=0.0, eta=1.0, m_sel=t_prime, t_prime=t_prime, flags=flags,
-            palette=rng.integers(0, 256, size=(f, 3)).astype(np.uint8),
-            palette_size=f, run_bits=l,
-            rle_bits=rle_encode(indices, f, l), patch_size=patch,
-        )
+        plan = refining_plan(rng, t, int(rng.integers(1, t + 1)), f, l, patch)
     else:
         plan = RefinementPlan.empty(t, 8, 4, patch)
     return QuantizedLatent(levels=levels, bits=bits), plan, cfg, (h, w, patch)
+
+
+@st.composite
+def valid_frames(draw):
+    """Any valid (quantized, plan, config, dims), H and W drawn apart, with an RLE
+    stream short enough for its u16 bit count."""
+    downs = draw(st.integers(0, 3))
+    patch = draw(st.integers(1, 8))
+    unit = int(np.lcm(patch, 2**downs))
+    h, w = unit * draw(st.integers(1, 3)), unit * draw(st.integers(1, 3))
+    cfg = SSAEConfig(latent_channels=draw(st.integers(1, 8)), downs=downs,
+                     bits=draw(st.integers(1, 16)), stem_channels=4)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.integers(0, 2**cfg.bits, size=cfg.latent_shape(h, w))
+    t = (h // patch) * (w // patch)
+    f, l = draw(st.integers(2, 255)), draw(st.integers(1, 8))
+    # at most 16 bits per record, one record per pixel: 4095 pixels fit in 65,535 bits
+    t_prime = draw(st.integers(0, min(t, 4095 // patch**2)))
+    if t_prime == 0:
+        plan = RefinementPlan.empty(t, f, l, patch)
+    else:
+        plan = refining_plan(rng, t, t_prime, f, l, patch)
+    return QuantizedLatent(levels=levels, bits=cfg.bits), plan, cfg, (h, w, patch)
+
+
+# (field, out-of-range value, edit that sets it on a valid frame)
+WIDE_FIELDS = [
+    ("H", 65536, lambda q, plan, cfg, dims: (q, plan, cfg, (65536, *dims[1:]))),
+    ("W", -8, lambda q, plan, cfg, dims: (q, plan, cfg, (dims[0], -8, dims[2]))),
+    ("P", 256, lambda q, plan, cfg, dims: (q, plan, cfg, (*dims[:2], 256))),
+    ("C_o", 256, lambda q, plan, cfg, dims: (q, plan, replace(cfg, latent_channels=256), dims)),
+    ("D", 256, lambda q, plan, cfg, dims: (q, plan, replace(cfg, downs=256), dims)),
+    ("F", 256, lambda q, plan, cfg, dims: (
+        q, replace(plan, palette=np.zeros((256, 3), dtype=np.uint8)), cfg, dims)),
+    ("L", 256, lambda q, plan, cfg, dims: (q, replace(plan, run_bits=256), cfg, dims)),
+    ("T'", 65536, lambda q, plan, cfg, dims: (q, replace(plan, t_prime=65536), cfg, dims)),
+]
 
 
 class TestSerialize:
@@ -75,6 +125,24 @@ class TestSerialize:
         with pytest.raises(ValueError):
             serialize_frame(q, plan, cfg, dims)
 
+    @pytest.mark.parametrize("name, value, edit", WIDE_FIELDS, ids=[f[0] for f in WIDE_FIELDS])
+    def test_header_field_too_wide_rejected(self, rng, name, value, edit):
+        frame = edit(*random_frame(rng, refine=True))
+        width = 16 if name in ("H", "W", "T'") else 8
+        with pytest.raises(ValueError, match=f"^{name} = {value} does not fit its {width}-bit "):
+            serialize_frame(*frame)
+
+    def test_rle_longer_than_header_field_rejected(self, rng):
+        # 9216 refined pixels of noise: nearly every pixel starts a 12-bit record
+        image = rng.random((3, 96, 96))
+        mask = SemanticMask(mask=np.ones((96, 96)), mask3=np.ones((3, 96, 96)),
+                            patch_weights=np.full(144, 0.01), patch_grid=(12, 12))
+        plan = plan_refinement(image, image, mask, 1e-3, 1.0, 16, 8)
+        cfg = SSAEConfig(latent_channels=4, downs=3, bits=8)
+        q = quantize(rng.random(cfg.latent_shape(96, 96)), 8)
+        with pytest.raises(ValueError, match=r"^RLE bit count = \d+ does not fit its 16-bit "):
+            serialize_frame(q, plan, cfg, (96, 96, 8))
+
 
 class TestRoundtrip:
     def test_randomized_roundtrips(self, rng):
@@ -82,7 +150,8 @@ class TestRoundtrip:
             q, plan, cfg, dims = random_frame(rng)
             frame = serialize_frame(q, plan, cfg, dims)
             assert len(frame) * 8 == frame_size_bits(cfg, dims, plan)
-            q2, plan2, header = parse_frame(frame)
+            q2, plan2, dims2 = parse_frame(frame)
+            assert dims2 == dims
             assert np.array_equal(q2.levels, q.levels)
             assert q2.bits == q.bits
             assert np.array_equal(plan2.flags, plan.flags)
@@ -91,6 +160,14 @@ class TestRoundtrip:
             if plan.t_prime:
                 assert np.array_equal(plan2.palette, plan.palette)
             assert serialize_frame(q2, plan2, cfg, dims) == frame
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_frames())
+    def test_parse_inverts_serialize(self, args):
+        frame = serialize_frame(*args)
+        q2, plan2, dims2 = parse_frame(frame)
+        assert dims2 == args[3]
+        assert serialize_frame(q2, plan2, args[2], dims2) == frame
 
     def test_refinement_size_delta(self, rng):
         q, plan, cfg, dims = random_frame(rng, refine=True)
