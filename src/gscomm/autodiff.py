@@ -7,6 +7,8 @@ whose ``requires_grad`` flag is set. Single-threaded per graph.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -277,11 +279,9 @@ def affine(x, weight, bias):
 def conv2d(x, kernel, stride=1, padding=0):
     """2-D convolution (cross-correlation). x: [C,H,W] or [B,C,H,W]; kernel: [C_out,C_in,k,k]."""
     x, kernel = _as_tensor(x), _as_tensor(kernel)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4 or kernel.data.ndim != 4:
+    if x.data.ndim not in (3, 4) or kernel.data.ndim != 4:
         raise ValueError("conv2d expects [B,C,H,W] input and [C_out,C_in,k,k] kernel")
-    b, c_in, h, w = xd.shape
+    *lead, c_in, h, w = x.data.shape
     c_out, kc_in, kh, kw = kernel.data.shape
     if kc_in != c_in:
         raise ValueError(f"conv2d channel mismatch: input {c_in} vs kernel {kc_in}")
@@ -294,15 +294,14 @@ def conv2d(x, kernel, stride=1, padding=0):
 
     # im2col: cols[b, (c, di, dj), (i, j)] = xp[b, c, stride*i + di, stride*j + dj],
     # so every pass is one matmul over the C_in*k*k axis and the output is NCHW.
+    b = math.prod(lead)
     xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding))
-    xp[:, :, padding : padding + h, padding : padding + w] = xd
+    xp[:, :, padding : padding + h, padding : padding + w] = x.data.reshape(b, c_in, h, w)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_in * kh * kw, h_out * w_out)
     kmat = kernel.data.reshape(c_out, c_in * kh * kw)
-    out_data = (kmat @ cols).reshape(b, c_out, h_out, w_out)
-
-    out = Tensor(out_data[0] if squeeze else out_data, (x, kernel))
+    out = Tensor((kmat @ cols).reshape(*lead, c_out, h_out, w_out), (x, kernel))
 
     def bwd(g):
         gb = g.reshape(b, c_out, h_out * w_out)
@@ -318,54 +317,42 @@ def conv2d(x, kernel, stride=1, padding=0):
                         :, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride
                     ] += gcols[:, :, di, dj]
             gx = gxp[:, :, padding : padding + h, padding : padding + w]
-            x._accumulate(gx[0] if squeeze else gx)
+            x._accumulate(gx.reshape(x.data.shape))
 
     out._backward = bwd
     return out
 
 
 def maxpool2(x):
-    """2x2 max pooling; gradient routes to the first argmax in row-major window order."""
+    """2x2 max pooling over the last two axes; gradient routes to the first argmax
+    in row-major window order."""
     x = _as_tensor(x)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    b, c, h, w = xd.shape
+    *lead, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 requires even extents, got {h}x{w}")
-    win = xd.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = win.reshape(b, c, h // 2, w // 2, 4)
+    win = x.data.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
+    flat = win.reshape(*lead, h // 2, w // 2, 4)
     arg = flat.argmax(axis=-1)  # first occurrence on ties, window row-major
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    out = Tensor(out_data[0] if squeeze else out_data, (x,))
+    out = Tensor(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], (x,))
 
     def bwd(g):
-        gb = g[None] if squeeze else g
         gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, arg[..., None], gb[..., None], axis=-1)
-        gx = (
-            gflat.reshape(b, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h, w)
-        )
-        x._accumulate(gx[0] if squeeze else gx)
+        np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
+        gwin = gflat.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(-3, -2)
+        x._accumulate(gwin.reshape(x.data.shape))
 
     out._backward = bwd
     return out
 
 
 def upsample_nearest2(x):
-    """Nearest-neighbour 2x spatial upsampling; gradient sums over replicas."""
+    """Nearest-neighbour 2x upsampling of the last two axes; gradient sums over replicas."""
     x = _as_tensor(x)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    out_data = xd.repeat(2, axis=2).repeat(2, axis=3)
-    out = Tensor(out_data[0] if squeeze else out_data, (x,))
+    *lead, h, w = x.data.shape
+    out = Tensor(x.data.repeat(2, axis=-2).repeat(2, axis=-1), (x,))
 
     def bwd(g):
-        gb = g[None] if squeeze else g
-        b, c, h2, w2 = gb.shape
-        gx = gb.reshape(b, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
-        x._accumulate(gx[0] if squeeze else gx)
+        x._accumulate(g.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)))
 
     out._backward = bwd
     return out
@@ -426,37 +413,31 @@ class BatchNormState:
 
 
 def batchnorm(x, state, training=True):
-    """Per-channel normalization of a [B,C,H,W] (or [C,H,W]) tensor."""
+    """Per-channel normalization of a [..., C, H, W] tensor: every axis but C is reduced."""
     x = _as_tensor(x)
     if state.eps <= 0:
         raise ValueError("eps must be positive")
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    axes = (0, 2, 3)
+    axes = tuple(i for i in range(x.data.ndim) if i != x.data.ndim - 3)
     if training:
-        mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
+        mu = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
         m = state.momentum
         state.running_mean = m * state.running_mean + (1 - m) * mu
         state.running_var = m * state.running_var + (1 - m) * var
     else:
         mu, var = state.running_mean, state.running_var
-    inv = 1.0 / np.sqrt(var + state.eps)
-    xhat = (xd - mu[:, None, None]) * inv[:, None, None]
-    out = Tensor(xhat[0] if squeeze else xhat, (x,))
-    n = xd.shape[0] * xd.shape[2] * xd.shape[3]
+    inv = 1.0 / np.sqrt(var + state.eps)[:, None, None]
+    xhat = (x.data - mu[:, None, None]) * inv
+    out = Tensor(xhat, (x,))
+    n = x.data.size // x.data.shape[-3]
 
     def bwd(g):
-        gb = g[None] if squeeze else g
         if training:
-            gsum = gb.sum(axis=axes)
-            gxhat = (gb * xhat).sum(axis=axes)
-            gx = inv[:, None, None] * (
-                gb - gsum[:, None, None] / n - xhat * gxhat[:, None, None] / n
-            )
+            gsum = g.sum(axis=axes)[:, None, None]
+            gxhat = (g * xhat).sum(axis=axes)[:, None, None]
+            x._accumulate(inv * (g - gsum / n - xhat * gxhat / n))
         else:
-            gx = gb * inv[:, None, None]
-        x._accumulate(gx[0] if squeeze else gx)
+            x._accumulate(g * inv)
 
     out._backward = bwd
     return out
@@ -518,12 +499,8 @@ def bilinear_resize(grid, target):
     H, W = target
     if min(h, w, H, W) < 1:
         raise ValueError("extents must be >= 1")
-    ys = np.linspace(0.0, h - 1.0, H) if H > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, W) if W > 1 else np.zeros(1)
-    if h == 1:
-        ys = np.zeros(H)
-    if w == 1:
-        xs = np.zeros(W)
+    ys = np.linspace(0.0, h - 1.0, H)
+    xs = np.linspace(0.0, w - 1.0, W)
     y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
     x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)

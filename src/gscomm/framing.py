@@ -68,6 +68,10 @@ def serialize_frame(quantized, plan, config, dims):
             raise ValueError(
                 f"{name} = {value} does not fit its {limit.bit_length()}-bit frame field"
             )
+    # the geometry parse_frame demands, checked before _section_sizes divides by P
+    if patch_size < 1 or img_h % patch_size or img_w % patch_size:
+        raise ValueError(f"P = {patch_size} must be at least 1 and divide H = {img_h} "
+                         f"and W = {img_w}")
     t = _section_sizes(*dims, *geometry)[0]
     if plan.flags.size != t:
         raise ValueError(f"flag count {plan.flags.size} does not match T={t}")

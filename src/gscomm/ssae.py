@@ -60,56 +60,43 @@ def dequantize(quantized):
     return quantized.levels.astype(np.float64) / scale
 
 
-def init_ssae_params(config, rng, learnable=True):
-    s = config.stem_channels
-
-    def conv(c_out, c_in):
+def init_ssae_params(config, rng):
+    s, c_o = config.stem_channels, config.latent_channels
+    layers = [
+        ("enc.stem", s, 3), *((f"enc.down{d}", s, s) for d in range(config.downs)),
+        ("enc.out", c_o, s),
+        ("dec.in", s, c_o), *((f"dec.up{d}", s, s) for d in range(config.downs)),
+        ("dec.out", 3, s),
+    ]
+    p = {}
+    for name, c_out, c_in in layers:
         scale = np.sqrt(2.0 / (c_in * 9))
-        return Parameter(rng.normal(0, scale, (c_out, c_in, 3, 3)), learnable=learnable)
-
-    def bias(c):
-        return Parameter(np.zeros(c), learnable=learnable)
-
-    p = {"enc.stem.k": conv(s, 3), "enc.stem.b": bias(s)}
-    for d in range(config.downs):
-        p[f"enc.down{d}.k"] = conv(s, s)
-        p[f"enc.down{d}.b"] = bias(s)
-    p["enc.out.k"] = conv(config.latent_channels, s)
-    p["enc.out.b"] = bias(config.latent_channels)
-    p["dec.in.k"] = conv(s, config.latent_channels)
-    p["dec.in.b"] = bias(s)
-    for d in range(config.downs):
-        p[f"dec.up{d}.k"] = conv(s, s)
-        p[f"dec.up{d}.b"] = bias(s)
-    p["dec.out.k"] = conv(3, s)
-    p["dec.out.b"] = bias(3)
+        p[name + ".k"] = Parameter(rng.normal(0, scale, (c_out, c_in, 3, 3)))
+        p[name + ".b"] = Parameter(np.zeros(c_out))
     return p
 
 
 class SSAE:
-    """Encoder/decoder pair; encode and decode operate on 3D images or 4D batches."""
+    """Encoder/decoder pair; encode and decode treat the axes before (C, H, W) as batch axes."""
 
-    def __init__(self, config, rng=None, params=None):
+    def __init__(self, config, rng=None):
         self.config = config
-        if params is None:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            params = init_ssae_params(config, rng)
-        self.params = params
-        s = config.stem_channels
-        self.bn = {"enc.stem": BatchNormState(s)}
-        for d in range(config.downs):
-            self.bn[f"enc.down{d}"] = BatchNormState(s)
-        self.bn["dec.in"] = BatchNormState(s)
-        for d in range(config.downs):
-            self.bn[f"dec.up{d}"] = BatchNormState(s)
+        if rng is None:
+            rng = np.random.default_rng(0)
+        self.params = init_ssae_params(config, rng)
+        # every conv but the two output heads is a block with its own batchnorm
+        self.bn = {
+            name[:-2]: BatchNormState(config.stem_channels)
+            for name in self.params
+            if name.endswith(".k") and not name.endswith(".out.k")
+        }
+
+    def _conv(self, x, name):
+        x = ad.conv2d(x, self.params[name + ".k"].value, stride=1, padding=1)
+        return x + self.params[name + ".b"].value.reshape(-1, 1, 1)
 
     def _block(self, x, name, training):
-        b = self.params[name + ".b"].value
-        shape = (1, -1, 1, 1) if x.data.ndim == 4 else (-1, 1, 1)
-        x = ad.conv2d(x, self.params[name + ".k"].value, stride=1, padding=1)
-        x = x + b.reshape(shape)
-        return ad.relu(ad.batchnorm(x, self.bn[name], training=training))
+        return ad.relu(ad.batchnorm(self._conv(x, name), self.bn[name], training=training))
 
     def encode(self, image, training=False):
         """Image(s) -> latent Tensor in [0,1]."""
@@ -119,10 +106,7 @@ class SSAE:
         x = self._block(x, "enc.stem", training)
         for d in range(self.config.downs):
             x = self._block(ad.maxpool2(x), f"enc.down{d}", training)
-        shape = (1, -1, 1, 1) if x.data.ndim == 4 else (-1, 1, 1)
-        x = ad.conv2d(x, self.params["enc.out.k"].value, stride=1, padding=1)
-        x = x + self.params["enc.out.b"].value.reshape(shape)
-        return ad.sigmoid(x)
+        return ad.sigmoid(self._conv(x, "enc.out"))
 
     def encode_quantize(self, image):
         """Inference path: encode and quantize one image."""
@@ -135,10 +119,7 @@ class SSAE:
         x = self._block(x, "dec.in", training)
         for d in range(self.config.downs):
             x = self._block(ad.upsample_nearest2(x), f"dec.up{d}", training)
-        shape = (1, -1, 1, 1) if x.data.ndim == 4 else (-1, 1, 1)
-        x = ad.conv2d(x, self.params["dec.out.k"].value, stride=1, padding=1)
-        x = x + self.params["dec.out.b"].value.reshape(shape)
-        return ad.sigmoid(x)
+        return ad.sigmoid(self._conv(x, "dec.out"))
 
     def decode(self, quantized):
         """Receiver path: dequantize and decode one QuantizedLatent."""
@@ -179,14 +160,9 @@ class SSAE:
 
     def load(self, path):
         full = self._full_params()
-        load_params(path, full)
-        for name, p in full.items():
-            if name.startswith("bn."):
-                st = self.bn[name[3:]]
-                st.running_mean = p.value.data[0].copy()
-                st.running_var = p.value.data[1].copy()
-            else:
-                self.params[name].value.data = p.value.data
+        load_params(path, full)  # the model's own Parameters are loaded in place
+        for name, st in self.bn.items():
+            st.running_mean, st.running_var = full[f"bn.{name}"].data
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +350,8 @@ def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bit
     img_patches = patchify(image, patch_size)
     rec_patches = patchify(reconstruction, patch_size)
     errors = ((img_patches[selected] - rec_patches[selected]) ** 2).sum(axis=1)
-    order = sorted(range(m_sel), key=lambda i: (-errors[i], selected[i]))
+    # largest error first; `selected` ascends, so a stable sort breaks ties by patch index
+    order = np.argsort(-errors, kind="stable")
     refined = np.sort(selected[order[:t_prime]])
 
     flags = np.zeros(t, dtype=np.uint8)

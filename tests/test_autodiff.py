@@ -204,6 +204,43 @@ class TestNormalize:
         assert not np.allclose(y.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
 
 
+def _batchnorm_op(training):
+    def op(x):
+        state = BatchNormState(3)
+        state.running_mean = np.array([0.5, -1.0, 2.0])
+        state.running_var = np.array([0.25, 4.0, 1.5])
+        return ad.batchnorm(x, state, training=training)
+
+    return op
+
+
+SPATIAL_OPS = {
+    "conv2d": lambda x: ad.conv2d(x, Tensor(np.linspace(-1, 1, 4 * 3 * 9).reshape(4, 3, 3, 3)),
+                                  padding=1),
+    "maxpool2": ad.maxpool2,
+    "upsample_nearest2": ad.upsample_nearest2,
+    "batchnorm_train": _batchnorm_op(training=True),
+    "batchnorm_eval": _batchnorm_op(training=False),
+}
+
+
+class TestLeadingBatchAxes:
+    @pytest.mark.parametrize("op", SPATIAL_OPS.values(), ids=SPATIAL_OPS)
+    def test_image_equals_batch_of_one(self, rng, op):
+        x = rng.standard_normal((3, 6, 6))
+        x[:, 0, 0] = x[:, 0, 1]  # a tie inside the first pooling window
+        results = []
+        for data in (x, x[None]):
+            t = Tensor(data, requires_grad=True)
+            y = op(t)
+            g = np.arange(y.data.size, dtype=float).reshape(y.data.shape) / y.data.size
+            (y * Tensor(g)).sum().backward()
+            results.append((y.data, t.grad))
+        (y3, g3), (y4, g4) = results
+        assert np.array_equal(y3, y4[0]) and y4.shape == (1, *y3.shape)
+        assert np.array_equal(g3, g4[0]) and g4.shape == (1, *g3.shape)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = ad.softmax(Tensor([0.0, 0.0]), temperature=3.7)
@@ -247,6 +284,12 @@ class TestBilinearResize:
     def test_corner_aligned_row(self):
         out = ad.bilinear_resize([[0.0, 1.0], [0.0, 1.0]], (2, 4))
         assert out[0] == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
+
+    def test_single_row_and_column_extents(self):
+        grid = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+        assert np.array_equal(ad.bilinear_resize(grid[:1], (3, 3)), np.repeat(grid[:1], 3, axis=0))
+        assert np.array_equal(ad.bilinear_resize(grid, (1, 3)), grid[:1])
+        assert np.array_equal(ad.bilinear_resize(grid, (2, 1)), grid[:, :1])
 
 
 class TestSgdStep:

@@ -132,6 +132,19 @@ class TestSerialize:
         with pytest.raises(ValueError, match=f"^{name} = {value} does not fit its {width}-bit "):
             serialize_frame(*frame)
 
+    def test_patch_not_dividing_extents_rejected(self, rng):
+        # 20 rows are a multiple of 2^D = 4 but not of P = 8: parse_frame would reject the frame
+        cfg = SSAEConfig(latent_channels=4, downs=2, bits=8)
+        q = quantize(rng.random(cfg.latent_shape(20, 16)), 8)
+        plan = RefinementPlan.empty(4, 8, 4, 8)
+        with pytest.raises(ValueError, match=r"^P = 8 must be at least 1 and divide H = 20 "):
+            serialize_frame(q, plan, cfg, (20, 16, 8))
+
+    def test_zero_patch_size_rejected(self, rng):
+        q, plan, cfg, (h, w, _) = random_frame(rng, refine=False)
+        with pytest.raises(ValueError, match=r"^P = 0 must be at least 1 "):
+            serialize_frame(q, plan, cfg, (h, w, 0))
+
     def test_rle_longer_than_header_field_rejected(self, rng):
         # 9216 refined pixels of noise: nearly every pixel starts a 12-bit record
         image = rng.random((3, 96, 96))

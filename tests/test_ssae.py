@@ -214,6 +214,15 @@ class TestCodec:
         latent = ssae.encode(rng.random((3, 8, 8))).data
         assert latent.min() >= 0.0 and latent.max() <= 1.0
 
+    def test_image_equals_batch_of_one(self, rng):
+        ssae = SSAE(SSAEConfig(latent_channels=2, downs=2, stem_channels=4), rng=rng)
+        ssae.train_step([rng.random((3, 8, 8)) for _ in range(2)], [np.ones((3, 8, 8))] * 2, 0.1)
+        img = rng.random((3, 8, 8))
+        assert np.array_equal(ssae.encode(img).data, ssae.encode(img[None]).data[0])
+        latent = rng.random((2, 2, 2))
+        assert np.array_equal(ssae.decode_latent(latent).data,
+                              ssae.decode_latent(latent[None]).data[0])
+
     def test_non_divisible_rejected(self, rng):
         ssae = SSAE(SSAEConfig(downs=3), rng=rng)
         with pytest.raises(ValueError):
