@@ -53,8 +53,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh row-major array, bit-equal to 0.0 + g (signed zeros too)
+            self.grad = np.add(g, 0.0, order="C")
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -292,32 +294,44 @@ def conv2d(x, kernel, stride=1, padding=0):
     if h_out < 1 or w_out < 1:
         raise ValueError("conv2d output would be empty")
 
-    # im2col: cols[b, (c, di, dj), (i, j)] = xp[b, c, stride*i + di, stride*j + dj],
-    # so every pass is one matmul over the C_in*k*k axis and the output is NCHW.
+    # On the flat padded input xp[b, c, hp*wp], output (i, j) of tap (di, dj) reads
+    # stride*m + di*wp + dj with m = i*wp + j, so each tap is one strided span. Outputs
+    # are computed on a grid wp wide whose last wp - w_out columns are dropped; xp's
+    # tail past hp*wp keeps the last row's spans in bounds.
     b = math.prod(lead)
-    xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding))
-    xp[:, :, padding : padding + h, padding : padding + w] = x.data.reshape(b, c_in, h, w)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c_in * kh * kw, h_out * w_out)
-    kmat = kernel.data.reshape(c_out, c_in * kh * kw)
-    out = Tensor((kmat @ cols).reshape(*lead, c_out, h_out, w_out), (x, kernel))
+    hp, wp = h + 2 * padding, w + 2 * padding
+    span = h_out * wp
+    xp = np.zeros((b, c_in, max(hp * wp, stride * (span - 1) + (kh - 1) * (wp + 1) + 1)))
+
+    def unpadded(flat):  # the [b, c_in, h, w] image inside a flat padded buffer
+        inner = flat[:, :, : hp * wp].reshape(b, c_in, hp, wp)
+        return inner[:, :, padding : padding + h, padding : padding + w]
+
+    unpadded(xp)[...] = x.data.reshape(b, c_in, h, w)
+    sb, sc, s1 = xp.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xp, (b, c_in, kh, kw, span), (sb, sc, wp * s1, s1, stride * s1), writeable=False
+    )
+    grid = kernel.data.reshape(c_out, -1) @ cols.reshape(b, c_in * kh * kw, span)
+    grid = grid.reshape(b, c_out, h_out, wp)[..., :w_out]
+    out = Tensor(grid.reshape(*lead, c_out, h_out, w_out), (x, kernel))
 
     def bwd(g):
-        gb = g.reshape(b, c_out, h_out * w_out)
+        gf = np.zeros((b, c_out, h_out, wp))
+        gf[..., :w_out] = g.reshape(b, c_out, h_out, w_out)
+        gf = gf.reshape(b, c_out, span)
+        taps = [slice(o, o + stride * (span - 1) + 1, stride)
+                for o in (di * wp + dj for di in range(kh) for dj in range(kw))]
         if kernel.requires_grad:
-            gk = (gb @ cols.transpose(0, 2, 1)).sum(axis=0)
-            kernel._accumulate(gk.reshape(kernel.data.shape))
+            gk = np.stack([(gf @ xp[:, :, t].transpose(0, 2, 1)).sum(axis=0) for t in taps])
+            kernel._accumulate(gk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
         if x.requires_grad:
-            gcols = (kmat.T @ gb).reshape(b, c_in, kh, kw, h_out, w_out)
+            kt = kernel.data.reshape(c_out, c_in, kh * kw).T.copy()  # [k*k, C_in, C_out]
             gxp = np.zeros_like(xp)
-            for di in range(kh):
-                for dj in range(kw):
-                    gxp[
-                        :, :, di : di + stride * h_out : stride, dj : dj + stride * w_out : stride
-                    ] += gcols[:, :, di, dj]
-            gx = gxp[:, :, padding : padding + h, padding : padding + w]
-            x._accumulate(gx.reshape(x.data.shape))
+            for t, k_t in zip(taps, kt):
+                span_t = gxp[:, :, t]  # in place on the view: `gxp[t] +=` would copy it back
+                span_t += k_t @ gf
+            x._accumulate(unpadded(gxp).reshape(x.data.shape))
 
     out._backward = bwd
     return out
@@ -418,18 +432,20 @@ def batchnorm(x, state, training=True):
     if state.eps <= 0:
         raise ValueError("eps must be positive")
     axes = tuple(i for i in range(x.data.ndim) if i != x.data.ndim - 3)
+    n = x.data.size // x.data.shape[-3]
     if training:
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xc = x.data - mu[:, None, None]
+        var = (xc * xc).sum(axis=axes) / n  # what np.var computes, without centring again
         m = state.momentum
         state.running_mean = m * state.running_mean + (1 - m) * mu
         state.running_var = m * state.running_var + (1 - m) * var
     else:
-        mu, var = state.running_mean, state.running_var
+        xc = x.data - state.running_mean[:, None, None]
+        var = state.running_var
     inv = 1.0 / np.sqrt(var + state.eps)[:, None, None]
-    xhat = (x.data - mu[:, None, None]) * inv
+    xhat = xc * inv
     out = Tensor(xhat, (x,))
-    n = x.data.size // x.data.shape[-3]
 
     def bwd(g):
         if training:

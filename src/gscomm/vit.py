@@ -105,14 +105,14 @@ def vit_forward(image, config, params):
         )
     c = config.dim
     t = config.num_patches
+    p = config.patch_size
+    gh, gw = config.grid
 
-    emb = ad.conv2d(
-        image,
-        params["patch_embed.kernel"].value,
-        stride=config.patch_size,
-        padding=0,
-    )
-    patch_tokens = emb.reshape(c, t).T + params["patch_embed.bias"].value
+    # the patch embedding is a stride-P conv with a PxP kernel: one matmul over the
+    # raster-order patch vectors that patchify makes
+    patches = image.reshape(3, gh, p, gw, p).transpose(1, 3, 0, 2, 4).reshape(t, 3 * p * p)
+    kernel = params["patch_embed.kernel"].value.reshape(c, 3 * p * p)
+    patch_tokens = patches @ kernel.T + params["patch_embed.bias"].value
     patch_tokens = patch_tokens + params["pos_embed"].value
     cls = params["cls_token"].value.reshape(1, c)
     x = ad.concat([cls, patch_tokens], axis=0)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -247,6 +248,20 @@ class TestTraining:
         losses = [ssae.train_step(images, masks, lr=0.2) for _ in range(100)]
         assert all(l >= 0 for l in losses)
         assert losses[-1] < losses[0]
+
+    def test_batch8_step_memory_peak(self, rng):
+        # the benchmark's SSAE at 32x32; a conv that kept a [B, C_in*k*k, H*W] column
+        # matrix per layer for its backward peaked at about 60 MB here
+        ssae = SSAE(SSAEConfig(latent_channels=4, downs=1, bits=8, stem_channels=16), rng=rng)
+        images = [rng.random((3, 32, 32)) for _ in range(8)]
+        masks = [np.ones((3, 32, 32))] * 8
+        tracemalloc.start()
+        try:
+            ssae.train_step(images, masks, lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_checkpoint_roundtrip(self, tmp_path, rng):
         cfg = SSAEConfig(latent_channels=2, downs=1, stem_channels=4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient
+from gscomm import autodiff as ad
 from gscomm.autodiff import Tensor
 from gscomm.vit import ViTConfig, init_vit_params, patchify, unpatchify, vit_forward
 
@@ -15,11 +16,14 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _vit_reference(image, config, params):
-    """Plain-numpy forward pass, one head at a time; returns (tokens, last-block attention)."""
+def _vit_reference(image, config, params, emb=None):
+    """Plain-numpy forward pass, one head at a time; returns (tokens, last-block attention).
+
+    `emb` replaces the [T, C] patch embedding (before bias and position) when given."""
     w = {name: p.data for name, p in params.items()}
     c, d = config.dim, config.head_dim
-    emb = patchify(image, config.patch_size) @ w["patch_embed.kernel"].reshape(c, -1).T
+    if emb is None:
+        emb = patchify(image, config.patch_size) @ w["patch_embed.kernel"].reshape(c, -1).T
     x = np.vstack([w["cls_token"], emb + w["patch_embed.bias"] + w["pos_embed"]])
     for u in range(config.blocks):
         b = f"blk{u}."
@@ -112,6 +116,24 @@ class TestForward:
         assert attention.shape == (heads, cfg.num_patches + 1, cfg.num_patches + 1)
         np.testing.assert_allclose(tokens.data, ref_tokens, rtol=0, atol=1e-12)
         np.testing.assert_allclose(attention, ref_attention, rtol=0, atol=1e-12)
+
+    def test_patch_embedding_equals_stride_p_conv(self, rng):
+        cfg = ViTConfig()
+        params = init_vit_params(cfg, rng)
+        image = rng.random((3, cfg.img_h, cfg.img_w))
+        kernel = params["patch_embed.kernel"].value
+        conv = ad.conv2d(image, kernel, stride=cfg.patch_size, padding=0)
+        emb = conv.reshape(cfg.dim, cfg.num_patches).T
+        tokens, _ = vit_forward(image, cfg, params)
+        ref_tokens, _ = _vit_reference(image, cfg, params, emb=emb.data)
+        np.testing.assert_allclose(tokens.data, ref_tokens, rtol=0, atol=1e-12)
+        # pos_embed is added to the patch embedding, so its gradient is the embedding's
+        (tokens * rng.standard_normal(tokens.shape)).sum().backward()
+        g_emb = params["pos_embed"].value.grad
+        g_kernel = kernel.grad
+        kernel.zero_grad()
+        (emb * g_emb).sum().backward()
+        np.testing.assert_allclose(g_kernel, kernel.grad, rtol=0, atol=1e-12)
 
     def test_wrong_extents_rejected(self, rng, small_config):
         params = init_vit_params(small_config, rng)
