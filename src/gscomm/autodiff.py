@@ -158,6 +158,11 @@ class Tensor:
         out._backward = bwd
         return out
 
+    def swapaxes(self, a, b):
+        axes = list(range(self.data.ndim))
+        axes[a], axes[b] = axes[b], axes[a]
+        return self.transpose(*axes)
+
     @property
     def T(self):
         return self.transpose()
@@ -223,9 +228,13 @@ def _as_tensor(x):
 
 
 def _unbroadcast(g, shape):
-    """Sum gradient g back down to `shape` after numpy broadcasting."""
+    """Sum gradient g back down to `shape` after numpy broadcasting.
+
+    Extra leading axes are summed innermost first: a [B, T, C] gradient of a (C,)
+    bias is summed over T within each image, then over B in image order, the
+    order in which B one-image graphs would accumulate it."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = g.sum(axis=g.ndim - len(shape) - 1)
     for i, n in enumerate(shape):
         if n == 1 and g.shape[i] != 1:
             g = g.sum(axis=i, keepdims=True)
@@ -264,7 +273,7 @@ def matmul(a, b):
 
 
 def affine(x, weight, bias):
-    """x[.., C_in] @ weight[C_in, C_out] + bias[C_out]."""
+    """x[..., n, C_in] @ weight[C_in, C_out] + bias[C_out]."""
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     c_in, c_out = weight.data.shape
     if x.data.shape[-1] != c_in:
@@ -273,8 +282,6 @@ def affine(x, weight, bias):
         )
     if bias.data.shape != (c_out,):
         raise ValueError("affine bias shape must be (C_out,)")
-    if x.data.ndim == 1:
-        return (matmul(x.reshape((1, c_in)), weight) + bias).reshape((c_out,))
     return matmul(x, weight) + bias
 
 
@@ -509,9 +516,9 @@ def masked_frobenius_norm(residual, mask):
 
 
 def bilinear_resize(grid, target):
-    """Corner-aligned bilinear interpolation of a 2-D array to (H, W). Plain numpy."""
+    """Corner-aligned bilinear interpolation of the last two axes to (H, W). Plain numpy."""
     grid = np.asarray(grid, dtype=np.float64)
-    h, w = grid.shape
+    h, w = grid.shape[-2:]
     H, W = target
     if min(h, w, H, W) < 1:
         raise ValueError("extents must be >= 1")
@@ -523,11 +530,12 @@ def bilinear_resize(grid, target):
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
+    y0, y1 = y0[:, None], y1[:, None]
     return (
-        grid[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-        + grid[np.ix_(y0, x1)] * (1 - fy) * fx
-        + grid[np.ix_(y1, x0)] * fy * (1 - fx)
-        + grid[np.ix_(y1, x1)] * fy * fx
+        grid[..., y0, x0] * (1 - fy) * (1 - fx)
+        + grid[..., y0, x1] * (1 - fy) * fx
+        + grid[..., y1, x0] * fy * (1 - fx)
+        + grid[..., y1, x1] * fy * fx
     )
 
 

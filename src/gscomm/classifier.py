@@ -53,10 +53,13 @@ class ClassifierModel:
         self.params["cls_head.b"] = Parameter(np.zeros(num_classes))
 
     def logits(self, image):
+        """[..., C'] logits of [..., 3, H, W] images; each CLS token is its own
+        1-row product, so a batch rounds as one image at a time."""
         tokens, _ = vit_forward(image, self.vit_config, self.params)
-        return ad.affine(
-            tokens[0], self.params["cls_head.w"].value, self.params["cls_head.b"].value
+        logits = ad.affine(
+            tokens[..., :1, :], self.params["cls_head.w"].value, self.params["cls_head.b"].value
         )
+        return logits.reshape(*tokens.shape[:-2], self.num_classes)
 
 
 def classify(image, model):
@@ -76,13 +79,11 @@ def finetune(model, labeled, config, rng=None):
     n = len(labeled)
     for _ in range(config.steps):
         idx = rng.choice(n, size=min(config.batch_size, n), replace=False)
-        total = None
-        for i in idx:
-            image, label = labeled[int(i)]
-            p = ad.softmax(model.logits(image))
-            loss = -(_clamp_min(p[int(label)], 1e-12).log())
-            total = loss if total is None else total + loss
-        loss = total / len(idx)
+        images, labels = zip(*(labeled[int(i)] for i in idx))
+        p = ad.softmax(model.logits(np.stack(images)))
+        terms = [-(_clamp_min(p[b, int(label)], 1e-12).log()) for b, label in enumerate(labels)]
+        # added in batch order, not by a pairwise .sum(), which rounds differently
+        loss = sum(terms[1:], terms[0]) / len(idx)
         loss.backward()
         ad.sgd_step(model.params.values(), config.lr)
         ad.zero_grads(model.params.values())

@@ -143,7 +143,7 @@ def cmd_train_ssae(args):
     images = [ex.image for ex in data]
     if "mae_ckpt" in cfg:
         masker = _load_masker(cfg, args.seed)
-        masks3 = [masker.semantic_mask(im).mask3 for im in images]
+        masks3 = list(masker.semantic_mask(np.stack(images)).mask3)
     else:
         masks3 = [np.broadcast_to(ex.fg_mask, ex.image.shape).copy() for ex in data]
     ssae, losses = train_ssae_on(images, masks3, read_config(SSAEConfig, cfg), budget, args.seed)

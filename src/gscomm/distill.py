@@ -85,8 +85,7 @@ class MaskingNetwork:
 
     def project(self, image):
         tokens, _ = self.forward(image)
-        cls = tokens[0]
-        return project_head(cls, self.params, self.distill_config.epsilon)
+        return project_head(tokens[..., 0, :], self.params, self.distill_config.epsilon)
 
     def semantic_mask(self, image, mask_params=None):
         _, attention = self.forward(image)
@@ -99,11 +98,17 @@ class MaskingNetwork:
 
 
 def project_head(cls_token, params, epsilon):
-    """MLP projection of the CLS token followed by temperature softmax."""
+    """MLP projection of [..., C] CLS tokens followed by temperature softmax.
+
+    Each token is its own 1-row product, so a batch rounds as one token at a time.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    h = ad.relu(ad.affine(cls_token, params["head.w1"].value, params["head.b1"].value))
+    *lead, c = cls_token.shape
+    rows = cls_token.reshape(*lead, 1, c)
+    h = ad.relu(ad.affine(rows, params["head.w1"].value, params["head.b1"].value))
     logits = ad.affine(h, params["head.w2"].value, params["head.b2"].value)
+    logits = logits.reshape(*lead, logits.shape[-1])
     q = ad.softmax(logits, temperature=epsilon)
     return ProjectionOutput(logits=logits, q=q)
 
@@ -159,7 +164,12 @@ def color_jitter(image, brightness, contrast, saturation):
 
 
 def make_views(image, teacher, config, rng):
-    """Build the (teacher view, student view) pair for one image."""
+    """Build the (teacher view, student view) pair for a [3, H, W] image or a
+    [..., 3, H, W] batch.
+
+    The teacher's coarse masks come from one batched pass; `rng` is drawn from
+    image by image, as one call per image would draw from it.
+    """
     vit_cfg = teacher.vit_config
     t = vit_cfg.num_patches
     if config.masked_patches > t:
@@ -172,32 +182,30 @@ def make_views(image, teacher, config, rng):
     coarse = teacher.semantic_mask(image, coarse_params)
     teacher_view = apply_mask(image, coarse)
 
-    student_view = teacher_view.copy()
-    if config.masked_patches > 0:
-        p = vit_cfg.patch_size
-        patches = patchify(student_view, p)
-        drop = rng.choice(t, size=config.masked_patches, replace=False)
-        patches[drop] = 0.0
-        student_view = unpatchify(patches, p, vit_cfg.img_h, vit_cfg.img_w)
+    p = vit_cfg.patch_size
     lo, hi = config.xi_range
-    factors = [lo if lo == hi else float(rng.uniform(lo, hi)) for _ in range(3)]
-    student_view = color_jitter(student_view, *factors)
+    student_views = []
+    for view in teacher_view.reshape(-1, *teacher_view.shape[-3:]):
+        if config.masked_patches > 0:
+            patches = patchify(view, p).copy()
+            drop = rng.choice(t, size=config.masked_patches, replace=False)
+            patches[drop] = 0.0
+            view = unpatchify(patches, p, vit_cfg.img_h, vit_cfg.img_w)
+        factors = [lo if lo == hi else float(rng.uniform(lo, hi)) for _ in range(3)]
+        student_views.append(color_jitter(view, *factors))
+    student_view = np.stack(student_views).reshape(teacher_view.shape)
     return ViewPair(teacher_view=teacher_view, student_view=student_view)
 
 
 def train_step_distill(student, teacher, batch, config, lr, rng):
-    """One distillation step over a batch; returns the mean loss."""
-    losses = []
-    total = None
-    for image in batch:
-        views = make_views(image, teacher, config, rng)
-        q_t = teacher.project(views.teacher_view).q.data
-        q_s = student.project(views.student_view).q
-        loss = distill_loss(q_t, q_s)
-        total = loss if total is None else total + loss
-        losses.append(loss.item())
-    mean_loss = total / len(batch)
+    """One distillation step over a batch, as one graph; returns the mean loss."""
+    views = make_views(np.stack(batch), teacher, config, rng)
+    q_t = teacher.project(views.teacher_view).q.data
+    q_s = student.project(views.student_view).q
+    losses = [distill_loss(q_t[i], q_s[i]) for i in range(len(batch))]
+    # added in image order (l0 + l1 + ...), not by a pairwise .sum(), which rounds differently
+    mean_loss = sum(losses[1:], losses[0]) / len(batch)
     mean_loss.backward()
     ad.sgd_step(student.params.values(), lr)
     ad.zero_grads(student.params.values())
-    return float(np.mean(losses))
+    return float(np.mean([loss.item() for loss in losses]))

@@ -24,34 +24,35 @@ class MaskParams:
 
 @dataclass
 class SemanticMask:
-    mask: np.ndarray  # (H, W) in {0, 1}
-    mask3: np.ndarray  # (3, H, W), every channel equals mask
-    patch_weights: np.ndarray  # (T,) head-summed raw attention per patch
+    mask: np.ndarray  # (..., H, W) in {0, 1}
+    mask3: np.ndarray  # (..., 3, H, W), every channel equals mask
+    patch_weights: np.ndarray  # (..., T) head-summed raw attention per patch
     patch_grid: tuple  # (H/P, W/P)
 
 
 def cls_attention_maps(attention, config):
-    """Row 0, columns 1..T of each head's (T+1)x(T+1) attention, as (heads, H/P, W/P) maps."""
-    if attention.shape[0] != config.heads:
+    """Row 0, columns 1..T of each head's (T+1)x(T+1) attention, as (heads, H/P, W/P)
+    maps; leading axes of [..., heads, T+1, T+1] are batch axes."""
+    if attention.shape[-3] != config.heads:
         raise ValueError(
-            f"expected {config.heads} attention heads, got {attention.shape[0]}"
+            f"expected {config.heads} attention heads, got {attention.shape[-3]}"
         )
-    return attention[:, 0, 1:].reshape(config.heads, *config.grid)
+    return attention[..., 0, 1:].reshape(*attention.shape[:-2], *config.grid)
 
 
 def build_semantic_mask(maps, params, target):
-    """Binarize (heads, H/P, W/P) maps at rho, sum over heads, upsample, threshold."""
+    """Binarize [..., heads, H/P, W/P] maps at rho, sum over heads, upsample, threshold."""
     h, w = target
     binarized = (maps > params.rho).astype(np.float64)
-    summed = binarized.sum(axis=0)
+    summed = binarized.sum(axis=-3)
     upsampled = bilinear_resize(summed, (h, w))
     mask = (upsampled > params.final_threshold).astype(np.float64)
-    patch_weights = maps.sum(axis=0).reshape(-1)
+    patch_weights = maps.sum(axis=-3).reshape(*maps.shape[:-3], -1)
     return SemanticMask(
         mask=mask,
-        mask3=np.broadcast_to(mask, (3, h, w)).copy(),
+        mask3=np.broadcast_to(mask[..., None, :, :], (*mask.shape[:-2], 3, h, w)).copy(),
         patch_weights=patch_weights,
-        patch_grid=maps.shape[1:],
+        patch_grid=maps.shape[-2:],
     )
 
 

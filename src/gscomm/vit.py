@@ -96,39 +96,49 @@ def init_vit_params(config, rng, learnable=True):
 
 
 def vit_forward(image, config, params):
-    """Run the backbone; returns ((T+1)xC token Tensor, final-block (heads, T+1, T+1) attention)."""
+    """Run the backbone on [..., 3, H, W] images, leading axes being batch axes.
+
+    Returns ([..., T+1, C] token Tensor, final-block [..., heads, T+1, T+1] attention).
+    numpy's stacked matmul runs one product per image, so each image's tokens equal
+    those of a call on that image alone, bit for bit.
+    """
     image = image if isinstance(image, Tensor) else Tensor(image)
-    if image.data.shape != (3, config.img_h, config.img_w):
+    lead = image.data.shape[:-3]
+    if image.data.shape[-3:] != (3, config.img_h, config.img_w):
         raise ValueError(
             f"image shape {image.data.shape} does not match config "
-            f"(3, {config.img_h}, {config.img_w})"
+            f"(..., 3, {config.img_h}, {config.img_w})"
         )
     c = config.dim
     t = config.num_patches
     p = config.patch_size
     gh, gw = config.grid
+    n = len(lead)
 
     # the patch embedding is a stride-P conv with a PxP kernel: one matmul over the
     # raster-order patch vectors that patchify makes
-    patches = image.reshape(3, gh, p, gw, p).transpose(1, 3, 0, 2, 4).reshape(t, 3 * p * p)
+    patches = image.reshape(*lead, 3, gh, p, gw, p)
+    patches = patches.transpose(*range(n), n + 1, n + 3, n, n + 2, n + 4)
+    patches = patches.reshape(*lead, t, 3 * p * p)
     kernel = params["patch_embed.kernel"].value.reshape(c, 3 * p * p)
     patch_tokens = patches @ kernel.T + params["patch_embed.bias"].value
     patch_tokens = patch_tokens + params["pos_embed"].value
-    cls = params["cls_token"].value.reshape(1, c)
-    x = ad.concat([cls, patch_tokens], axis=0)
+    cls = params["cls_token"].value + np.zeros((*lead, 1, c))
+    x = ad.concat([cls, patch_tokens], axis=-2)
 
     heads, d = config.heads, config.head_dim
     scale = 1.0 / np.sqrt(d)
     for u in range(config.blocks):
         b = f"blk{u}."
         h = ad.layernorm(x)
-        # head m owns columns m*d:(m+1)*d of each projection: [T+1, C] -> [heads, T+1, d]
+        # head m owns columns m*d:(m+1)*d of each projection:
+        # [..., T+1, C] -> [..., heads, T+1, d]
         q, k, v = (
-            (h @ params[b + w].value).reshape(t + 1, heads, d).transpose(1, 0, 2)
+            (h @ params[b + w].value).reshape(*lead, t + 1, heads, d).swapaxes(-3, -2)
             for w in ("wq", "wk", "wv")
         )
-        s = ad.softmax((q @ k.transpose(0, 2, 1)) * scale)
-        merged = (s @ v).transpose(1, 0, 2).reshape(t + 1, c)
+        s = ad.softmax((q @ k.swapaxes(-1, -2)) * scale)
+        merged = (s @ v).swapaxes(-3, -2).reshape(*lead, t + 1, c)
         x = x + merged @ params[b + "wo"].value
         h2 = ad.layernorm(x)
         mlp = ad.affine(

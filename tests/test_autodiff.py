@@ -241,6 +241,23 @@ class TestLeadingBatchAxes:
         assert np.array_equal(g3, g4[0]) and g4.shape == (1, *g3.shape)
 
 
+class TestUnbroadcast:
+    def test_inner_leading_axis_summed_first(self, rng):
+        # a [B, T, C] bias gradient: over T within each image, then over B in image order,
+        # the order in which B one-image graphs accumulate it
+        g = rng.standard_normal((8, 17, 32))
+        want = g[0].sum(axis=0)
+        for b in range(1, 8):
+            want = want + g[b].sum(axis=0)
+        assert np.array_equal(ad._unbroadcast(g, (32,)), want)
+
+    def test_size_one_axes_kept(self, rng):
+        g = rng.standard_normal((2, 3, 4, 5))
+        np.testing.assert_allclose(
+            ad._unbroadcast(g, (1, 5)), g.sum(axis=(0, 1, 2))[None], rtol=0, atol=1e-12
+        )
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = ad.softmax(Tensor([0.0, 0.0]), temperature=3.7)

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from gscomm import autodiff as ad
 from gscomm.classifier import (
     ClassifierConfig,
     ClassifierModel,
@@ -8,7 +11,36 @@ from gscomm.classifier import (
     finetune,
 )
 from gscomm.datasets import synthetic_dataset
+from gscomm.distill import _clamp_min
 from gscomm.vit import ViTConfig
+
+
+def _finetune_reference(model, labeled, config, rng):
+    """The fine-tune loop built as one graph per image, losses added in batch order."""
+    losses = []
+    n = len(labeled)
+    for _ in range(config.steps):
+        idx = rng.choice(n, size=min(config.batch_size, n), replace=False)
+        total = None
+        for i in idx:
+            image, label = labeled[int(i)]
+            p = ad.softmax(model.logits(image))
+            loss = -(_clamp_min(p[int(label)], 1e-12).log())
+            total = loss if total is None else total + loss
+        loss = total / len(idx)
+        loss.backward()
+        ad.sgd_step(model.params.values(), config.lr)
+        ad.zero_grads(model.params.values())
+        losses.append(loss.item())
+    return losses
+
+
+# the benchmark's fine-tune config (32x32 images, batch 8) and a 16x16 one
+BATCHED_CASES = {
+    "benchmark": (ViTConfig(), ClassifierConfig(num_classes=4, lr=0.1, steps=3, batch_size=8)),
+    "16x16": (ViTConfig(patch_size=8, dim=16, blocks=1, heads=2, img_h=16, img_w=16),
+              ClassifierConfig(num_classes=4, lr=0.08, steps=3, batch_size=5)),
+}
 
 
 @pytest.fixture
@@ -75,3 +107,26 @@ class TestFinetune:
         cfg = ClassifierConfig(num_classes=4, steps=40, lr=0.08)
         losses = finetune(model, pairs, cfg)
         assert losses[-1] < losses[0]
+
+
+class TestBatched:
+    @pytest.mark.parametrize("case", BATCHED_CASES)
+    def test_finetune_equals_per_image_graphs(self, case):
+        vit_cfg, cfg = BATCHED_CASES[case]
+        pairs = [(ex.image, ex.label) for ex in synthetic_dataset(4, 4, vit_cfg.img_h, seed=8)]
+        model = ClassifierModel(vit_cfg, num_classes=4, rng=np.random.default_rng(3))
+        twin = copy.deepcopy(model)
+        rng, twin_rng = np.random.default_rng(9), np.random.default_rng(9)
+        assert finetune(model, pairs, cfg, rng) == _finetune_reference(twin, pairs, cfg, twin_rng)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, twin.params[name].data), name
+
+    @pytest.mark.parametrize("case", BATCHED_CASES)
+    def test_logits_equal_one_image_at_a_time(self, case):
+        vit_cfg, _ = BATCHED_CASES[case]
+        model = ClassifierModel(vit_cfg, num_classes=4, rng=np.random.default_rng(3))
+        images = np.random.default_rng(4).random((5, 3, vit_cfg.img_h, vit_cfg.img_w))
+        logits = model.logits(images)
+        assert logits.shape == (5, 4)
+        for i, image in enumerate(images):
+            assert np.array_equal(logits.data[i], model.logits(image).data)

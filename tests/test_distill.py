@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from gscomm import autodiff as ad
 from gscomm.checkpoint import clone_params, params_checksum
 from gscomm.datasets import synthetic_dataset
 from gscomm.distill import (
@@ -13,6 +16,32 @@ from gscomm.distill import (
     train_step_distill,
 )
 from gscomm.vit import ViTConfig
+
+
+def _distill_step_reference(student, teacher, batch, config, lr, rng):
+    """One distillation step built as one graph per image, losses added in image order."""
+    losses = []
+    total = None
+    for image in batch:
+        views = make_views(image, teacher, config, rng)
+        q_t = teacher.project(views.teacher_view).q.data
+        q_s = student.project(views.student_view).q
+        loss = distill_loss(q_t, q_s)
+        total = loss if total is None else total + loss
+        losses.append(loss.item())
+    mean_loss = total / len(batch)
+    mean_loss.backward()
+    ad.sgd_step(student.params.values(), lr)
+    ad.zero_grads(student.params.values())
+    return float(np.mean(losses))
+
+
+# the benchmark's trainer config (32x32 images, batch 8) and a 16x16 one
+BATCHED_CASES = {
+    "benchmark": (ViTConfig(), DistillConfig(masked_patches=4, epsilon=0.2), 8),
+    "16x16": (ViTConfig(patch_size=8, dim=16, blocks=1, heads=2, img_h=16, img_w=16),
+              DistillConfig(epsilon=0.1, proj_dim=8, masked_patches=2), 4),
+}
 
 
 @pytest.fixture
@@ -145,3 +174,52 @@ class TestTrainStep:
             entropies.append(entropy(teacher.project(views.teacher_view).q.data))
         loss = train_step_distill(student, teacher, images, cfg, lr=1e-9, rng=rng)
         assert loss == pytest.approx(np.mean(entropies), abs=1e-6)
+
+
+class TestBatched:
+    @pytest.mark.parametrize("case", BATCHED_CASES)
+    def test_step_equals_per_image_graphs(self, case):
+        vit_cfg, cfg, batch = BATCHED_CASES[case]
+        teacher = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(1), learnable=False)
+        student = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(2))
+        twin = copy.deepcopy(student)
+        images = [ex.image for ex in synthetic_dataset(4, 6, vit_cfg.img_h, seed=3)]
+        rng, twin_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for step in range(3):
+            chunk = images[step * batch : (step + 1) * batch]
+            got = train_step_distill(student, teacher, chunk, cfg, 0.05, rng)
+            want = _distill_step_reference(twin, teacher, chunk, cfg, 0.05, twin_rng)
+            assert got == want
+            for name, p in student.params.items():
+                assert np.array_equal(p.data, twin.params[name].data), name
+        assert rng.random() == twin_rng.random()
+
+    @pytest.mark.parametrize("case", BATCHED_CASES)
+    def test_calls_equal_one_image_at_a_time(self, case):
+        vit_cfg, cfg, batch = BATCHED_CASES[case]
+        net = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(1))
+        images = np.stack([ex.image for ex in synthetic_dataset(4, 2, vit_cfg.img_h, seed=5)])
+        out = net.project(images)
+        mask = net.semantic_mask(images)
+        for i, image in enumerate(images):
+            one = net.project(image)
+            assert np.array_equal(out.logits.data[i], one.logits.data)
+            assert np.array_equal(out.q.data[i], one.q.data)
+            one_mask = net.semantic_mask(image)
+            assert np.array_equal(mask.mask[i], one_mask.mask)
+            assert np.array_equal(mask.mask3[i], one_mask.mask3)
+            assert np.array_equal(mask.patch_weights[i], one_mask.patch_weights)
+            assert mask.patch_grid == one_mask.patch_grid
+
+    @pytest.mark.parametrize("case", BATCHED_CASES)
+    def test_make_views_draws_image_by_image(self, case):
+        vit_cfg, cfg, batch = BATCHED_CASES[case]
+        teacher = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(1), learnable=False)
+        images = np.stack([ex.image for ex in synthetic_dataset(4, 2, vit_cfg.img_h, seed=5)])
+        rng, one_rng = np.random.default_rng(6), np.random.default_rng(6)
+        views = make_views(images, teacher, cfg, rng)
+        for i, image in enumerate(images):
+            one = make_views(image, teacher, cfg, one_rng)
+            assert np.array_equal(views.teacher_view[i], one.teacher_view)
+            assert np.array_equal(views.student_view[i], one.student_view)
+        assert rng.random() == one_rng.random()

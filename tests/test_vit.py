@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradient
+from conftest import check_gradients, fd_gradient
 from gscomm import autodiff as ad
-from gscomm.autodiff import Tensor
+from gscomm.autodiff import Parameter, Tensor
 from gscomm.vit import ViTConfig, init_vit_params, patchify, unpatchify, vit_forward
 
 
@@ -134,6 +134,35 @@ class TestForward:
         kernel.zero_grad()
         (emb * g_emb).sum().backward()
         np.testing.assert_allclose(g_kernel, kernel.grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 2)])
+    def test_batch_equals_one_image_at_a_time(self, rng, lead):
+        cfg = ViTConfig()
+        params = init_vit_params(cfg, rng)
+        images = rng.random((*lead, 3, cfg.img_h, cfg.img_w))
+        tokens, attention = vit_forward(images, cfg, params)
+        assert tokens.shape == (*lead, cfg.num_patches + 1, cfg.dim)
+        assert attention.shape == (*lead, cfg.heads, cfg.num_patches + 1, cfg.num_patches + 1)
+        for i in np.ndindex(lead):
+            one_tokens, one_attention = vit_forward(images[i], cfg, params)
+            assert np.array_equal(tokens.data[i], one_tokens.data)
+            assert np.array_equal(attention[i], one_attention)
+
+    def test_gradients_batched(self, rng):
+        cfg = ViTConfig(patch_size=4, dim=4, blocks=1, heads=2, img_h=8, img_w=8)
+        params = init_vit_params(cfg, rng)
+        for p in params.values():
+            p.data[:] = rng.normal(0.0, 0.5, size=p.data.shape)
+        # biases and the CLS token are broadcast over both leading axes of [B, T+1, C]
+        names = ("blk0.wq", "blk0.mlp1.b", "patch_embed.bias", "cls_token")
+        weights = rng.standard_normal((2, cfg.num_patches + 1, cfg.dim))
+
+        def loss(images, *values):
+            local = {**params, **{n: Parameter(v) for n, v in zip(names, values)}}
+            tokens, _ = vit_forward(images, cfg, local)
+            return (tokens * weights).sum()
+
+        check_gradients(loss, [rng.random((2, 3, 8, 8))] + [params[n].data for n in names])
 
     def test_wrong_extents_rejected(self, rng, small_config):
         params = init_vit_params(small_config, rng)
