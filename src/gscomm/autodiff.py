@@ -178,17 +178,27 @@ class Tensor:
         out._backward = bwd
         return out
 
-    def sum(self):
-        out = Tensor(self.data.sum(), (self,))
+    def sum(self, axis=None):
+        out = Tensor(self.data.sum(axis=axis), (self,))
 
         def bwd(g):
-            self._accumulate(np.full_like(self.data, float(g)))
+            g = g if axis is None else np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape))
 
         out._backward = bwd
         return out
 
     def mean(self):
-        return self.sum() / self.data.size
+        """The mean of the items added in index order, x0 + x1 + ...: so a batched loss
+        equals its per-item losses added one by one, which np.sum's pairwise order does not."""
+        scale = 1.0 / self.data.size
+        out = Tensor(np.add.accumulate(self.data.reshape(-1))[-1] * scale, (self,))
+
+        def bwd(g):
+            self._accumulate(np.full_like(self.data, g * scale))
+
+        out._backward = bwd
+        return out
 
     def log(self):
         out = Tensor(np.log(self.data), (self,))
@@ -501,15 +511,15 @@ def concat(tensors, axis=-1):
 
 
 def masked_frobenius_norm(residual, mask):
-    """||residual ∘ mask||_F with a zero gradient at the all-zero point."""
+    """[...] norms ||residual ∘ mask||_F over (C, H, W); a zero norm has zero gradient."""
     residual = _as_tensor(residual)
     masked = residual.data * mask
-    norm = float(np.sqrt((masked * masked).sum()))
+    norm = np.sqrt((masked * masked).sum(axis=(-3, -2, -1)))
     out = Tensor(norm, (residual,))
+    divisor = np.where(norm > 0.0, norm, np.inf)[..., None, None, None]
 
     def bwd(g):
-        if norm > 0.0:
-            residual._accumulate(float(g) * masked * mask / norm)
+        residual._accumulate(g[..., None, None, None] * masked * mask / divisor)
 
     out._backward = bwd
     return out

@@ -70,6 +70,8 @@ def classify(image, model):
 
 def finetune(model, labeled, config, rng=None):
     """SGD cross-entropy fine-tuning on (image, label) pairs; returns losses."""
+    if model.num_classes != config.num_classes:
+        raise ValueError(f"model has {model.num_classes} classes, config {config.num_classes}")
     for _, label in labeled:
         if not 0 <= label < config.num_classes:
             raise ValueError(f"label {label} out of range [0, {config.num_classes})")
@@ -81,9 +83,7 @@ def finetune(model, labeled, config, rng=None):
         idx = rng.choice(n, size=min(config.batch_size, n), replace=False)
         images, labels = zip(*(labeled[int(i)] for i in idx))
         p = ad.softmax(model.logits(np.stack(images)))
-        terms = [-(_clamp_min(p[b, int(label)], 1e-12).log()) for b, label in enumerate(labels)]
-        # added in batch order, not by a pairwise .sum(), which rounds differently
-        loss = sum(terms[1:], terms[0]) / len(idx)
+        loss = (-(_clamp_min(p[np.arange(len(idx)), labels], 1e-12).log())).mean()
         loss.backward()
         ad.sgd_step(model.params.values(), config.lr)
         ad.zero_grads(model.params.values())

@@ -124,24 +124,16 @@ def _clamp_min(t, floor):
 
 
 def distill_loss(q_t, q_s):
-    """Cross entropy -sum(q_t * log q_s); q_s log-floored at 1e-12.
+    """[...] cross entropies -sum(q_t * log q_s) over the last axis; q_s log-floored at 1e-12.
 
-    q_t is treated as a constant target; q_s may be a Tensor (for training)
-    or a plain array (returns a float).
+    q_t is treated as a constant target; q_s may be a Tensor (for training) or an
+    array. `distill_loss(q, q)` is the entropy of q.
     """
     q_t = q_t.data if isinstance(q_t, Tensor) else np.asarray(q_t, dtype=np.float64)
-    as_tensor = isinstance(q_s, Tensor)
-    q_s_data = q_s.data if as_tensor else np.asarray(q_s, dtype=np.float64)
-    if q_t.shape != q_s_data.shape:
-        raise ValueError(f"distribution lengths differ: {q_t.shape} vs {q_s_data.shape}")
-    if as_tensor:
-        return -((Tensor(q_t) * _clamp_min(q_s, LOG_FLOOR).log()).sum())
-    return float(-(q_t * np.log(np.maximum(q_s_data, LOG_FLOOR))).sum())
-
-
-def entropy(q):
-    q = np.asarray(q, dtype=np.float64)
-    return float(-(q * np.log(np.maximum(q, LOG_FLOOR))).sum())
+    q_s = q_s if isinstance(q_s, Tensor) else Tensor(q_s)
+    if q_t.shape != q_s.shape:
+        raise ValueError(f"distribution lengths differ: {q_t.shape} vs {q_s.shape}")
+    return -((Tensor(q_t) * _clamp_min(q_s, LOG_FLOOR).log()).sum(axis=-1))
 
 
 def color_jitter(image, brightness, contrast, saturation):
@@ -202,10 +194,8 @@ def train_step_distill(student, teacher, batch, config, lr, rng):
     views = make_views(np.stack(batch), teacher, config, rng)
     q_t = teacher.project(views.teacher_view).q.data
     q_s = student.project(views.student_view).q
-    losses = [distill_loss(q_t[i], q_s[i]) for i in range(len(batch))]
-    # added in image order (l0 + l1 + ...), not by a pairwise .sum(), which rounds differently
-    mean_loss = sum(losses[1:], losses[0]) / len(batch)
-    mean_loss.backward()
+    losses = distill_loss(q_t, q_s)
+    losses.mean().backward()
     ad.sgd_step(student.params.values(), lr)
     ad.zero_grads(student.params.values())
-    return float(np.mean([loss.item() for loss in losses]))
+    return float(np.mean(losses.data))

@@ -132,14 +132,12 @@ class SSAE:
         channel); loss is the mean masked Frobenius norm of the residual.
         """
         batch = np.stack([np.asarray(im, dtype=np.float64) for im in images])
+        masks = np.stack([np.asarray(m3, dtype=np.float64) for m3 in masks3])
+        if masks.shape != batch.shape:
+            raise ValueError(f"masks {masks.shape} do not match images {batch.shape}")
         latent = self.encode(Tensor(batch), training=True)
         recon = self.decode_latent(latent, training=True)
-        residual = Tensor(batch) - recon
-        total = None
-        for i, m3 in enumerate(masks3):
-            term = ad.masked_frobenius_norm(residual[i], np.asarray(m3, dtype=np.float64))
-            total = term if total is None else total + term
-        loss = total / len(images)
+        loss = ad.masked_frobenius_norm(Tensor(batch) - recon, masks).mean()
         loss.backward()
         ad.sgd_step(self.params.values(), lr)
         ad.zero_grads(self.params.values())

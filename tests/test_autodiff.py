@@ -371,3 +371,53 @@ class TestMaskedFrobeniusNorm:
         x = rng.standard_normal((2, 3, 3))
         m = (rng.random((2, 3, 3)) > 0.3).astype(float)
         check_gradients(lambda a: ad.masked_frobenius_norm(a, m), [x])
+
+    def test_batch_equals_one_image_at_a_time(self, rng):
+        x = rng.standard_normal((5, 3, 4, 4))
+        m = (rng.random((5, 3, 4, 4)) > 0.5).astype(float)
+        m[2] = 0.0
+        g = rng.standard_normal(5)
+        batch = Tensor(x, requires_grad=True)
+        norms = ad.masked_frobenius_norm(batch, m)
+        assert norms.shape == (5,)
+        (norms * Tensor(g)).sum().backward()
+        for i in range(5):
+            image = Tensor(x[i], requires_grad=True)
+            norm = ad.masked_frobenius_norm(image, m[i])
+            assert norm.shape == ()
+            assert norms.data[i] == norm.item()
+            (norm * g[i]).backward()
+            assert np.array_equal(batch.grad[i], image.grad)
+
+
+def _spread_vector(n):
+    """n values over seven decades, so that the order of their sum shows in its rounding."""
+    rng = np.random.default_rng(n)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+
+
+def _in_order_sum(x):
+    total = x[0]
+    for v in x[1:]:
+        total = total + v
+    return total
+
+
+class TestReductions:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_mean_adds_in_index_order(self, n):
+        x = _spread_vector(n)
+        t = Tensor(x, requires_grad=True)
+        mean = t.mean()
+        assert mean.item() == (_in_order_sum([Tensor(v) for v in x]) / n).item()
+        mean.backward()
+        assert np.array_equal(t.grad, np.full(n, 1.0 / n))
+
+    def test_pairwise_sum_rounds_differently(self):
+        # the premise of the test above: np.sum's order differs from index order here
+        assert any(np.sum(x) != _in_order_sum(x) for x in map(_spread_vector, range(1, 18)))
+
+    def test_sum_axis_gradients(self, rng):
+        x = rng.standard_normal((2, 3, 4))
+        w = rng.random((2, 3))
+        check_gradients(lambda a: ((a * a).sum(axis=-1) * Tensor(w)).sum(), [x])

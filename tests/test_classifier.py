@@ -92,6 +92,13 @@ class TestFinetune:
         with pytest.raises(ValueError):
             finetune(model, [(rng.random((3, 16, 16)), 3)], cfg)
 
+    @pytest.mark.parametrize("config_classes", [2, 4])
+    def test_class_count_must_match_model(self, model, rng, config_classes):
+        cfg = ClassifierConfig(num_classes=config_classes, steps=1)
+        pairs = [(rng.random((3, 16, 16)), config_classes - 1)]
+        with pytest.raises(ValueError, match=f"model has 3 classes, config {config_classes}"):
+            finetune(model, pairs, cfg)
+
     def test_overfit_single_example(self, vit_config, rng):
         model = ClassifierModel(vit_config, num_classes=3, rng=np.random.default_rng(2))
         image = rng.random((3, 16, 16))

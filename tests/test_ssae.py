@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gscomm import autodiff as ad
+from gscomm.autodiff import Tensor
 from gscomm.errors import CorruptFrameError
 from gscomm.masking import SemanticMask, mask_from_array
 from gscomm.ssae import (
@@ -21,6 +24,23 @@ from gscomm.ssae import (
     rle_decode,
     rle_encode,
 )
+
+
+def _ssae_step_reference(ssae, images, masks3, lr):
+    """One SSAE step with the loss built image by image, terms added in image order."""
+    batch = np.stack([np.asarray(im, dtype=np.float64) for im in images])
+    latent = ssae.encode(Tensor(batch), training=True)
+    recon = ssae.decode_latent(latent, training=True)
+    residual = Tensor(batch) - recon
+    total = None
+    for i, m3 in enumerate(masks3):
+        term = ad.masked_frobenius_norm(residual[i], np.asarray(m3, dtype=np.float64))
+        total = term if total is None else total + term
+    loss = total / len(images)
+    loss.backward()
+    ad.sgd_step(ssae.params.values(), lr)
+    ad.zero_grads(ssae.params.values())
+    return loss.item()
 
 
 def _kmeans_reference(pixels, num_colors, seed, return_inertia=False, reseeded=None):
@@ -262,6 +282,33 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_step_equals_per_image_losses(self):
+        # the benchmark's SSAE trainer config: batch 8, 32x32, stem 16, downs=1
+        rng = np.random.default_rng(7)
+        ssae = SSAE(SSAEConfig(latent_channels=4, downs=1, bits=8, stem_channels=16),
+                    rng=np.random.default_rng(1))
+        twin = copy.deepcopy(ssae)
+        images = [rng.random((3, 32, 32)) for _ in range(8)]
+        masks = [np.repeat(rng.random((1, 32, 32)) > 0.3, 3, axis=0).astype(float)
+                 for _ in range(8)]
+        masks[5] = np.zeros((3, 32, 32))
+        for _ in range(3):
+            assert ssae.train_step(images, masks, 0.1) == _ssae_step_reference(
+                twin, images, masks, 0.1)
+        for name, p in ssae._full_params().items():
+            assert np.array_equal(p.data, twin._full_params()[name].data), name
+
+    @pytest.mark.parametrize("masks", [
+        [np.ones((3, 8, 8))],  # fewer masks than images
+        [np.ones((8, 8))] * 3,  # single-channel masks, which would broadcast
+        np.ones((3, 8, 8)),  # one stacked mask, read as three [8, 8] masks
+    ])
+    def test_masks_must_match_images(self, rng, masks):
+        ssae = SSAE(SSAEConfig(latent_channels=2, downs=1, stem_channels=4), rng=rng)
+        images = [rng.random((3, 8, 8)) for _ in range(3)]
+        with pytest.raises(ValueError, match=r"masks \(.*\) do not match images \(3, 3, 8, 8\)"):
+            ssae.train_step(images, masks, lr=0.1)
 
     def test_checkpoint_roundtrip(self, tmp_path, rng):
         cfg = SSAEConfig(latent_channels=2, downs=1, stem_channels=4)
