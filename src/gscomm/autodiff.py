@@ -21,7 +21,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "layernorm",
-    "BatchNormState",
     "batchnorm",
     "softmax",
     "concat",
@@ -412,68 +411,49 @@ def sigmoid(x):
     return out
 
 
-def layernorm(x, eps=1e-5):
-    """Normalize each row (last axis) to zero mean and unit variance."""
-    x = _as_tensor(x)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+def _normalize(x, axes, eps):
+    """(x - mean) / sqrt(var + eps) over `axes`; returns the Tensor and the batch
+    mean and variance, with the reduced axes kept."""
+    n = math.prod(x.data.shape[a] for a in axes)
+    mu = x.data.mean(axis=axes, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).sum(axis=axes, keepdims=True) / n  # what np.var computes
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat, (x,))
-    n = x.data.shape[-1]
-
-    def bwd(g):
-        gsum = g.sum(axis=-1, keepdims=True)
-        gxhat = (g * xhat).sum(axis=-1, keepdims=True)
-        x._accumulate(inv * (g - gsum / n - xhat * gxhat / n))
-
-    out._backward = bwd
-    return out
-
-
-class BatchNormState:
-    """Running statistics for one batchnorm layer."""
-
-    def __init__(self, channels, momentum=0.9, eps=1e-5):
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
-
-
-def batchnorm(x, state, training=True):
-    """Per-channel normalization of a [..., C, H, W] tensor: every axis but C is reduced."""
-    x = _as_tensor(x)
-    if state.eps <= 0:
-        raise ValueError("eps must be positive")
-    axes = tuple(i for i in range(x.data.ndim) if i != x.data.ndim - 3)
-    n = x.data.size // x.data.shape[-3]
-    if training:
-        mu = x.data.mean(axis=axes)
-        xc = x.data - mu[:, None, None]
-        var = (xc * xc).sum(axis=axes) / n  # what np.var computes, without centring again
-        m = state.momentum
-        state.running_mean = m * state.running_mean + (1 - m) * mu
-        state.running_var = m * state.running_var + (1 - m) * var
-    else:
-        xc = x.data - state.running_mean[:, None, None]
-        var = state.running_var
-    inv = 1.0 / np.sqrt(var + state.eps)[:, None, None]
     xhat = xc * inv
     out = Tensor(xhat, (x,))
 
     def bwd(g):
-        if training:
-            gsum = g.sum(axis=axes)[:, None, None]
-            gxhat = (g * xhat).sum(axis=axes)[:, None, None]
-            x._accumulate(inv * (g - gsum / n - xhat * gxhat / n))
-        else:
-            x._accumulate(g * inv)
+        gsum = g.sum(axis=axes, keepdims=True)
+        gxhat = (g * xhat).sum(axis=axes, keepdims=True)
+        x._accumulate(inv * (g - gsum / n - xhat * gxhat / n))
 
     out._backward = bwd
-    return out
+    return out, mu, var
+
+
+def layernorm(x, eps=1e-5):
+    """Normalize each row (last axis) to zero mean and unit variance."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return _normalize(_as_tensor(x), (-1,), eps)[0]
+
+
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
+def batchnorm(x, stats, training=True):
+    """Per-channel normalization of a [..., C, H, W] tensor over every axis but C.
+    Eval normalizes with `stats`, the layer's [2, C] running (mean, variance); training
+    with the batch's statistics, which it folds into `stats` in place."""
+    x = _as_tensor(x)
+    if training:
+        axes = tuple(i for i in range(x.data.ndim) if i != x.data.ndim - 3)
+        out, mu, var = _normalize(x, axes, BN_EPS)
+        stats[...] = BN_MOMENTUM * stats + (1 - BN_MOMENTUM) * np.stack([mu.ravel(), var.ravel()])
+        return out
+    mean, var = stats[:, :, None, None]
+    return (x - mean) * (1.0 / np.sqrt(var + BN_EPS))
 
 
 def softmax(x, temperature=1.0):

@@ -24,6 +24,8 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 @dataclass

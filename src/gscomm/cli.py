@@ -110,7 +110,7 @@ def _load_masker(cfg, seed):
 def _load_ssae(cfg, seed):
     ssae = SSAE(read_config(SSAEConfig, cfg), rng=np.random.default_rng(seed))
     if "ssae_ckpt" in cfg:
-        ssae.load(cfg["ssae_ckpt"])
+        load_params(cfg["ssae_ckpt"], ssae.params)
     return ssae
 
 
@@ -147,7 +147,7 @@ def cmd_train_ssae(args):
     else:
         masks3 = [np.broadcast_to(ex.fg_mask, ex.image.shape).copy() for ex in data]
     ssae, losses = train_ssae_on(images, masks3, read_config(SSAEConfig, cfg), budget, args.seed)
-    _finish(args, ssae.save, losses, budget.ssae_lr)
+    _finish(args, lambda path: save_params(path, ssae.params), losses, budget.ssae_lr)
 
 
 def cmd_finetune(args):

@@ -177,6 +177,10 @@ class TrainBudget:
     finetune_lr: float = 0.05
     batch_size: int = 8
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+
 
 def train_masker(examples, vit_config, distill_config, budget, seed):
     """Distill a student masking network against a fixed random teacher."""

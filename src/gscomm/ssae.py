@@ -10,8 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Parameter, Tensor
-from .checkpoint import load_params, save_params
+from .autodiff import Parameter, Tensor
 from .errors import CorruptFrameError
 from .vit import patchify
 
@@ -28,6 +27,8 @@ class SSAEConfig:
             raise ValueError("bits must lie in [1, 16]")
         if self.downs < 0 or self.latent_channels < 1:
             raise ValueError("invalid channel/downs configuration")
+        if self.stem_channels < 1:
+            raise ValueError(f"stem_channels must be at least 1, got {self.stem_channels}")
 
     @property
     def compression_ratio(self):
@@ -73,6 +74,11 @@ def init_ssae_params(config, rng):
         scale = np.sqrt(2.0 / (c_in * 9))
         p[name + ".k"] = Parameter(rng.normal(0, scale, (c_out, c_in, 3, 3)))
         p[name + ".b"] = Parameter(np.zeros(c_out))
+    # each block (every conv but the two output heads) has its batchnorm's running stats
+    for name, c_out, _ in layers:
+        if not name.endswith(".out"):
+            p["bn." + name] = Parameter(np.stack([np.zeros(c_out), np.ones(c_out)]),
+                                        learnable=False)
     return p
 
 
@@ -84,19 +90,14 @@ class SSAE:
         if rng is None:
             rng = np.random.default_rng(0)
         self.params = init_ssae_params(config, rng)
-        # every conv but the two output heads is a block with its own batchnorm
-        self.bn = {
-            name[:-2]: BatchNormState(config.stem_channels)
-            for name in self.params
-            if name.endswith(".k") and not name.endswith(".out.k")
-        }
 
     def _conv(self, x, name):
         x = ad.conv2d(x, self.params[name + ".k"].value, stride=1, padding=1)
         return x + self.params[name + ".b"].value.reshape(-1, 1, 1)
 
     def _block(self, x, name, training):
-        return ad.relu(ad.batchnorm(self._conv(x, name), self.bn[name], training=training))
+        stats = self.params["bn." + name].data
+        return ad.relu(ad.batchnorm(self._conv(x, name), stats, training))
 
     def encode(self, image, training=False):
         """Image(s) -> latent Tensor in [0,1]."""
@@ -142,25 +143,6 @@ class SSAE:
         ad.sgd_step(self.params.values(), lr)
         ad.zero_grads(self.params.values())
         return loss.item()
-
-    # -- checkpointing (parameters + batchnorm running statistics) --
-
-    def _full_params(self):
-        full = dict(self.params)
-        for name, st in self.bn.items():
-            full[f"bn.{name}"] = Parameter(
-                np.stack([st.running_mean, st.running_var]), learnable=False
-            )
-        return full
-
-    def save(self, path):
-        save_params(path, self._full_params())
-
-    def load(self, path):
-        full = self._full_params()
-        load_params(path, full)  # the model's own Parameters are loaded in place
-        for name, st in self.bn.items():
-            st.running_mean, st.running_var = full[f"bn.{name}"].data
 
 
 # ---------------------------------------------------------------------------

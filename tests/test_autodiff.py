@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import check_gradients
 from gscomm import autodiff as ad
-from gscomm.autodiff import BatchNormState, Parameter, Tensor
+from gscomm.autodiff import Parameter, Tensor
 
 
 def _conv2d_reference(x, k, stride, padding, g):
@@ -173,6 +173,65 @@ class TestActivations:
         check_gradients(lambda a: ad.sigmoid(a).sum(), [x])
 
 
+def _layernorm_reference(x, eps=1e-5):
+    """The standalone layernorm that `_normalize` replaced."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    out = Tensor(xhat, (x,))
+    n = x.data.shape[-1]
+
+    def bwd(g):
+        gsum = g.sum(axis=-1, keepdims=True)
+        gxhat = (g * xhat).sum(axis=-1, keepdims=True)
+        x._accumulate(inv * (g - gsum / n - xhat * gxhat / n))
+
+    out._backward = bwd
+    return out
+
+
+def _batchnorm_reference(x, state, training):
+    """The standalone batchnorm that `_normalize` replaced; `state` holds the
+    running_mean and running_var arrays, replaced (not updated) on training."""
+    axes = tuple(i for i in range(x.data.ndim) if i != x.data.ndim - 3)
+    n = x.data.size // x.data.shape[-3]
+    if training:
+        mu = x.data.mean(axis=axes)
+        xc = x.data - mu[:, None, None]
+        var = (xc * xc).sum(axis=axes) / n
+        state["running_mean"] = 0.9 * state["running_mean"] + (1 - 0.9) * mu
+        state["running_var"] = 0.9 * state["running_var"] + (1 - 0.9) * var
+    else:
+        xc = x.data - state["running_mean"][:, None, None]
+        var = state["running_var"]
+    inv = 1.0 / np.sqrt(var + 1e-5)[:, None, None]
+    xhat = xc * inv
+    out = Tensor(xhat, (x,))
+
+    def bwd(g):
+        if training:
+            gsum = g.sum(axis=axes)[:, None, None]
+            gxhat = (g * xhat).sum(axis=axes)[:, None, None]
+            x._accumulate(inv * (g - gsum / n - xhat * gxhat / n))
+        else:
+            x._accumulate(g * inv)
+
+    out._backward = bwd
+    return out
+
+
+def _fresh_stats(channels):
+    return np.stack([np.zeros(channels), np.ones(channels)])
+
+
+def _out_and_grad(op, x, g):
+    t = Tensor(x, requires_grad=True)
+    y = op(t)
+    (y * Tensor(g)).sum().backward()
+    return y.data, t.grad
+
+
 class TestNormalize:
     def test_layernorm_closed_form(self):
         out = ad.layernorm(Tensor([1.0, 2.0, 3.0]), eps=1e-12)
@@ -192,24 +251,56 @@ class TestNormalize:
         w = rng.random((2, 3, 4, 4))
 
         def f(a):
-            return (ad.batchnorm(a, BatchNormState(3), training=True) * Tensor(w)).sum()
+            return (ad.batchnorm(a, _fresh_stats(3), training=True) * Tensor(w)).sum()
 
         check_gradients(f, [x])
 
+    def test_batchnorm_eval_gradients(self, rng):
+        x = rng.standard_normal((2, 3, 4, 4))
+        w = rng.random((2, 3, 4, 4))
+        stats = np.array([[0.5, -1.0, 2.0], [0.25, 4.0, 1.5]])
+        check_gradients(lambda a: (ad.batchnorm(a, stats, training=False) * Tensor(w)).sum(),
+                        [x])
+
     def test_batchnorm_eval_uses_running_stats(self, rng):
-        state = BatchNormState(2)
+        stats = _fresh_stats(2)
         x = rng.standard_normal((4, 2, 3, 3)) * 3 + 1
-        ad.batchnorm(Tensor(x), state, training=True)
-        y = ad.batchnorm(Tensor(x), state, training=False)
+        ad.batchnorm(Tensor(x), stats, training=True)
+        y = ad.batchnorm(Tensor(x), stats, training=False)
         assert not np.allclose(y.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(17, 32), (8, 17, 32), (3, 5)])
+    def test_layernorm_equals_reference(self, rng, shape):
+        x = rng.standard_normal(shape) * 2 + 0.5
+        g = rng.standard_normal(shape)
+        y, gx = _out_and_grad(ad.layernorm, x, g)
+        y_ref, gx_ref = _out_and_grad(_layernorm_reference, x, g)
+        assert np.array_equal(y, y_ref) and np.array_equal(gx, gx_ref)
+
+    @pytest.mark.parametrize("shape", [(8, 16, 32, 32), (16, 8, 8), (2, 3, 4, 4)])
+    def test_batchnorm_equals_reference(self, rng, shape):
+        c = shape[-3]
+        stats = _fresh_stats(c)
+        state = {"running_mean": np.zeros(c), "running_var": np.ones(c)}
+        for _ in range(3):
+            x = rng.standard_normal(shape) * 3 + 1
+            g = rng.standard_normal(shape)
+            y, gx = _out_and_grad(lambda t: ad.batchnorm(t, stats, training=True), x, g)
+            y_ref, gx_ref = _out_and_grad(
+                lambda t: _batchnorm_reference(t, state, training=True), x, g)
+            assert np.array_equal(y, y_ref) and np.array_equal(gx, gx_ref)
+        assert np.array_equal(stats[0], state["running_mean"])
+        assert np.array_equal(stats[1], state["running_var"])
+        y, gx = _out_and_grad(lambda t: ad.batchnorm(t, stats, training=False), x, g)
+        y_ref, gx_ref = _out_and_grad(
+            lambda t: _batchnorm_reference(t, state, training=False), x, g)
+        assert np.array_equal(y, y_ref) and np.array_equal(gx, gx_ref)
 
 
 def _batchnorm_op(training):
     def op(x):
-        state = BatchNormState(3)
-        state.running_mean = np.array([0.5, -1.0, 2.0])
-        state.running_var = np.array([0.25, 4.0, 1.5])
-        return ad.batchnorm(x, state, training=training)
+        stats = np.array([[0.5, -1.0, 2.0], [0.25, 4.0, 1.5]])
+        return ad.batchnorm(x, stats, training=training)
 
     return op
 

@@ -92,6 +92,11 @@ class TestFinetune:
         with pytest.raises(ValueError):
             finetune(model, [(rng.random((3, 16, 16)), 3)], cfg)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            ClassifierConfig(num_classes=3, batch_size=batch_size)
+
     @pytest.mark.parametrize("config_classes", [2, 4])
     def test_class_count_must_match_model(self, model, rng, config_classes):
         cfg = ClassifierConfig(num_classes=config_classes, steps=1)

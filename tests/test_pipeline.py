@@ -21,6 +21,7 @@ from gscomm.metrics import masked_psnr
 from gscomm.pipeline import (
     PipelineModels,
     RefineParams,
+    TrainBudget,
     report,
     report_csv,
     run_end_to_end,
@@ -173,6 +174,12 @@ class TestMaskedPsnr:
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_train_budget_batch_size_below_one(batch_size):
+    with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+        TrainBudget(batch_size=batch_size)
 
 
 class TestCheckpoint:

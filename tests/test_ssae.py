@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gscomm import autodiff as ad
 from gscomm.autodiff import Tensor
+from gscomm.checkpoint import load_params, save_params
 from gscomm.errors import CorruptFrameError
 from gscomm.masking import SemanticMask, mask_from_array
 from gscomm.ssae import (
@@ -188,6 +190,11 @@ class TestConfig:
             shape = cfg.latent_shape(h, w)
             assert shape[0] * shape[1] * shape[2] == c_o * h * w // 4**d
 
+    @pytest.mark.parametrize("stem", [0, -2])
+    def test_stem_channels_below_one(self, stem):
+        with pytest.raises(ValueError, match=f"stem_channels must be at least 1, got {stem}"):
+            SSAEConfig(stem_channels=stem)
+
 
 class TestQuantizer:
     def test_midpoint_level(self):
@@ -253,13 +260,15 @@ class TestCodec:
 class TestTraining:
     def test_zero_mask_no_update(self, rng):
         ssae = SSAE(SSAEConfig(latent_channels=2, downs=1, stem_channels=4), rng=rng)
-        before = {k: p.value.data.copy() for k, p in ssae.params.items()}
+        # learnable params only: the batchnorm running statistics move on every
+        # training forward pass
+        before = {k: p.value.data.copy() for k, p in ssae.params.items() if p.learnable}
         images = [rng.random((3, 8, 8)) for _ in range(2)]
         masks = [np.zeros((3, 8, 8))] * 2
         loss = ssae.train_step(images, masks, lr=0.1)
         assert loss == 0.0
-        for k, p in ssae.params.items():
-            assert np.array_equal(p.value.data, before[k])
+        for k, data in before.items():
+            assert np.array_equal(ssae.params[k].value.data, data)
 
     def test_loss_non_negative_and_decreasing(self, rng):
         ssae = SSAE(SSAEConfig(latent_channels=4, downs=1, stem_channels=8), rng=rng)
@@ -296,8 +305,8 @@ class TestTraining:
         for _ in range(3):
             assert ssae.train_step(images, masks, 0.1) == _ssae_step_reference(
                 twin, images, masks, 0.1)
-        for name, p in ssae._full_params().items():
-            assert np.array_equal(p.data, twin._full_params()[name].data), name
+        for name, p in ssae.params.items():
+            assert np.array_equal(p.data, twin.params[name].data), name
 
     @pytest.mark.parametrize("masks", [
         [np.ones((3, 8, 8))],  # fewer masks than images
@@ -315,13 +324,32 @@ class TestTraining:
         a = SSAE(cfg, rng=np.random.default_rng(0))
         a.train_step([rng.random((3, 8, 8))], [np.ones((3, 8, 8))], lr=0.1)
         path = tmp_path / "ssae.ckpt"
-        a.save(path)
+        save_params(path, a.params)
         b = SSAE(cfg, rng=np.random.default_rng(9))
-        b.load(path)
+        load_params(path, b.params)
         x = rng.random((3, 8, 8))
         _, qa = a.encode_quantize(x)
         _, qb = b.encode_quantize(x)
         assert np.abs(qa.levels - qb.levels).max() <= 1  # float32 checkpoint rounding
+
+    def test_checkpoint_layout(self, tmp_path):
+        # the batchnorm running statistics follow the conv params, one [2, C] block each
+        path = tmp_path / "ssae.ckpt"
+        save_params(path, SSAE(SSAEConfig(4, 1, 8, 16), rng=np.random.default_rng(0)).params)
+        blob = path.read_bytes()
+        assert blob.split(b"\n")[0].endswith(
+            b" bn.enc.stem:2,16 bn.enc.down0:2,16 bn.dec.in:2,16 bn.dec.up0:2,16")
+        assert len(blob) == 27554
+        assert hashlib.sha256(blob).hexdigest() == (
+            "a38965d31a6baec072eddffed51d79173428adc08c3de709366d703117500c46")
+
+    def test_training_moves_running_statistics(self, rng):
+        ssae = SSAE(SSAEConfig(latent_channels=2, downs=1, stem_channels=4), rng=rng)
+        stats = ssae.params["bn.enc.stem"]
+        assert not stats.learnable
+        assert np.array_equal(stats.data, [[0.0] * 4, [1.0] * 4])
+        ssae.train_step([rng.random((3, 8, 8))], [np.ones((3, 8, 8))], lr=0.1)
+        assert not np.array_equal(stats.data, [[0.0] * 4, [1.0] * 4])
 
 
 class TestKmeans:
