@@ -411,6 +411,16 @@ def sigmoid(x):
     return out
 
 
+def _clamp_min(t, floor):
+    out = Tensor(np.maximum(t.data, floor), (t,))
+
+    def bwd(g):
+        t._accumulate(g * (t.data > floor))
+
+    out._backward = bwd
+    return out
+
+
 def _normalize(x, axes, eps):
     """(x - mean) / sqrt(var + eps) over `axes`; returns the Tensor and the batch
     mean and variance, with the reduced axes kept."""
@@ -431,15 +441,13 @@ def _normalize(x, axes, eps):
     return out, mu, var
 
 
-def layernorm(x, eps=1e-5):
-    """Normalize each row (last axis) to zero mean and unit variance."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return _normalize(_as_tensor(x), (-1,), eps)[0]
-
-
+NORM_EPS = 1e-5  # layernorm's and batchnorm's variance floor
 BN_MOMENTUM = 0.9
-BN_EPS = 1e-5
+
+
+def layernorm(x):
+    """Normalize each row (last axis) to zero mean and unit variance."""
+    return _normalize(_as_tensor(x), (-1,), NORM_EPS)[0]
 
 
 def batchnorm(x, stats, training=True):
@@ -449,11 +457,11 @@ def batchnorm(x, stats, training=True):
     x = _as_tensor(x)
     if training:
         axes = tuple(i for i in range(x.data.ndim) if i != x.data.ndim - 3)
-        out, mu, var = _normalize(x, axes, BN_EPS)
+        out, mu, var = _normalize(x, axes, NORM_EPS)
         stats[...] = BN_MOMENTUM * stats + (1 - BN_MOMENTUM) * np.stack([mu.ravel(), var.ravel()])
         return out
     mean, var = stats[:, :, None, None]
-    return (x - mean) * (1.0 / np.sqrt(var + BN_EPS))
+    return (x - mean) * (1.0 / np.sqrt(var + NORM_EPS))
 
 
 def softmax(x, temperature=1.0):

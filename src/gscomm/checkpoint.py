@@ -54,17 +54,6 @@ def load_params(path, params):
         params[name].value.data = value
 
 
-def params_checksum(params):
-    """Deterministic scalar fingerprint of all parameter values."""
-    total = 0.0
-    for name in sorted(params):
-        total += float(np.abs(params[name].value.data).sum())
-    return total
-
-
-def clone_params(params, learnable=None):
-    out = {}
-    for name, p in params.items():
-        flag = p.learnable if learnable is None else learnable
-        out[name] = Parameter(p.value.data.copy(), learnable=flag)
-    return out
+def clone_params(params):
+    """Learnable copies of a dict name -> Parameter."""
+    return {name: Parameter(p.value.data.copy()) for name, p in params.items()}

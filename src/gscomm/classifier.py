@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter
+from .autodiff import Parameter, _clamp_min
 from .checkpoint import clone_params
-from .distill import _clamp_min
 from .vit import init_vit_params, vit_forward
 
 
@@ -46,10 +45,8 @@ class ClassifierModel:
             self.params = init_vit_params(vit_config, rng, learnable=True)
         else:
             # e.g. the distilled student checkpoint; head params are dropped
-            self.params = clone_params(
-                {k: v for k, v in backbone_params.items() if not k.startswith("head.")},
-                learnable=True,
-            )
+            backbone = {k: v for k, v in backbone_params.items() if not k.startswith("head.")}
+            self.params = clone_params(backbone)
         c = vit_config.dim
         self.params["cls_head.w"] = Parameter(rng.normal(0, 0.02, (c, num_classes)))
         self.params["cls_head.b"] = Parameter(np.zeros(num_classes))

@@ -77,6 +77,14 @@ def read_config(cls, cfg):
     return cls(**values)
 
 
+def _count(cfg, key, default):
+    """An integer key that counts something, so must be at least 1."""
+    value = int(cfg.get(key, default))
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
+    return value
+
+
 def _dataset(cfg, seed):
     img_h, img_w = int(cfg.get("img_h", ViTConfig.img_h)), int(cfg.get("img_w", ViTConfig.img_w))
     if img_w != img_h:
@@ -85,10 +93,10 @@ def _dataset(cfg, seed):
     source = cfg.get("dataset", "synthetic")
     if source == "synthetic":
         return synthetic_dataset(
-            int(cfg.get("num_classes", 4)), int(cfg.get("images_per_class", 25)), img_h, seed
+            _count(cfg, "num_classes", 4), _count(cfg, "images_per_class", 25), img_h, seed
         )
     if source == "stl10_binary":
-        images = load_stl10_binary(cfg["dataset_path"], limit=int(cfg.get("limit", 16)))
+        images = load_stl10_binary(cfg["dataset_path"], limit=_count(cfg, "limit", 16))
         from .datasets import SyntheticExample
 
         return [SyntheticExample(image=im, label=0, fg_mask=np.ones(im.shape[1:])) for im in images]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter, Tensor, _clamp_min
 from .masking import MaskParams, apply_mask, build_semantic_mask, cls_attention_maps
 from .vit import init_vit_params, patchify, unpatchify, vit_forward
 
@@ -68,17 +68,14 @@ def init_head_params(vit_config, distill_config, rng, learnable=True):
 class MaskingNetwork:
     """ViT backbone + projection head + mask parameters, as one unit."""
 
-    def __init__(self, vit_config, distill_config, rng=None, learnable=True,
-                 mask_params=None, params=None):
+    def __init__(self, vit_config, distill_config, rng=None, learnable=True, mask_params=None):
         self.vit_config = vit_config
         self.distill_config = distill_config
         self.mask_params = mask_params or MaskParams()
-        if params is None:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            params = init_vit_params(vit_config, rng, learnable=learnable)
-            params.update(init_head_params(vit_config, distill_config, rng, learnable))
-        self.params = params
+        if rng is None:
+            rng = np.random.default_rng(0)
+        self.params = init_vit_params(vit_config, rng, learnable=learnable)
+        self.params.update(init_head_params(vit_config, distill_config, rng, learnable))
 
     def forward(self, image):
         return vit_forward(image, self.vit_config, self.params)
@@ -111,16 +108,6 @@ def project_head(cls_token, params, epsilon):
     logits = logits.reshape(*lead, logits.shape[-1])
     q = ad.softmax(logits, temperature=epsilon)
     return ProjectionOutput(logits=logits, q=q)
-
-
-def _clamp_min(t, floor):
-    out = Tensor(np.maximum(t.data, floor), (t,))
-
-    def bwd(g):
-        t._accumulate(g * (t.data > floor))
-
-    out._backward = bwd
-    return out
 
 
 def distill_loss(q_t, q_s):
@@ -167,11 +154,7 @@ def make_views(image, teacher, config, rng):
     if config.masked_patches > t:
         raise ValueError(f"cannot mask {config.masked_patches} of {t} patches")
 
-    coarse_params = MaskParams(
-        rho=teacher.mask_params.rho / 2.0,
-        final_threshold=teacher.mask_params.final_threshold,
-    )
-    coarse = teacher.semantic_mask(image, coarse_params)
+    coarse = teacher.semantic_mask(image, MaskParams(rho=teacher.mask_params.rho / 2.0))
     teacher_view = apply_mask(image, coarse)
 
     p = vit_cfg.patch_size

@@ -72,6 +72,8 @@ def serialize_frame(quantized, plan, config, dims):
     if patch_size < 1 or img_h % patch_size or img_w % patch_size:
         raise ValueError(f"P = {patch_size} must be at least 1 and divide H = {img_h} "
                          f"and W = {img_w}")
+    if plan.patch_size != patch_size:
+        raise ValueError(f"P = {patch_size} differs from the plan's patch size {plan.patch_size}")
     t = _section_sizes(*dims, *geometry)[0]
     if plan.flags.size != t:
         raise ValueError(f"flag count {plan.flags.size} does not match T={t}")

@@ -9,25 +9,28 @@ import numpy as np
 
 from .autodiff import bilinear_resize
 
+FINAL_THRESHOLD = 0.5  # applied to the upsampled head-sum
+
 
 @dataclass
 class MaskParams:
     rho: float = 2e-3  # per-head binarization threshold
-    final_threshold: float = 0.5  # applied to the upsampled head-sum
 
     def __post_init__(self):
         if self.rho < 0:
             raise ValueError("rho must be non-negative")
-        if not 0 < self.final_threshold <= 1:
-            raise ValueError("final_threshold must lie in (0, 1]")
 
 
 @dataclass
 class SemanticMask:
     mask: np.ndarray  # (..., H, W) in {0, 1}
-    mask3: np.ndarray  # (..., 3, H, W), every channel equals mask
-    patch_weights: np.ndarray  # (..., T) head-summed raw attention per patch
-    patch_grid: tuple  # (H/P, W/P)
+    patch_weights: np.ndarray  # (..., H/P, W/P) head-summed raw attention per patch
+
+    @property
+    def mask3(self):
+        """Read-only (..., 3, H, W) view in which every channel is `mask`."""
+        return np.broadcast_to(self.mask[..., None, :, :],
+                               (*self.mask.shape[:-2], 3, *self.mask.shape[-2:]))
 
 
 def cls_attention_maps(attention, config):
@@ -46,14 +49,8 @@ def build_semantic_mask(maps, params, target):
     binarized = (maps > params.rho).astype(np.float64)
     summed = binarized.sum(axis=-3)
     upsampled = bilinear_resize(summed, (h, w))
-    mask = (upsampled > params.final_threshold).astype(np.float64)
-    patch_weights = maps.sum(axis=-3).reshape(*maps.shape[:-3], -1)
-    return SemanticMask(
-        mask=mask,
-        mask3=np.broadcast_to(mask[..., None, :, :], (*mask.shape[:-2], 3, h, w)).copy(),
-        patch_weights=patch_weights,
-        patch_grid=maps.shape[-2:],
-    )
+    mask = (upsampled > FINAL_THRESHOLD).astype(np.float64)
+    return SemanticMask(mask=mask, patch_weights=maps.sum(axis=-3))
 
 
 def apply_mask(image, mask):
@@ -62,18 +59,6 @@ def apply_mask(image, mask):
     if image.shape != mask.mask3.shape:
         raise ValueError(f"image shape {image.shape} vs mask shape {mask.mask3.shape}")
     return image * mask.mask3
-
-
-def mask_from_array(mask2d):
-    """Wrap a plain HxW binary array (e.g. a ground-truth mask) as a SemanticMask."""
-    mask2d = (np.asarray(mask2d, dtype=np.float64) > 0.5).astype(np.float64)
-    h, w = mask2d.shape
-    return SemanticMask(
-        mask=mask2d,
-        mask3=np.broadcast_to(mask2d, (3, h, w)).copy(),
-        patch_weights=np.zeros(0),
-        patch_grid=(0, 0),
-    )
 
 
 def write_pbm(path, mask2d):

@@ -139,6 +139,8 @@ def sweep(examples, grid_values, models, refine, replicates=1, base_seed=0,
     """
     if not grid_values:
         raise ValueError("grid must be non-empty")
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
     out = []
     for gi, value in enumerate(grid_values):
         channel = ChannelConfig(mode=mode, ber=value, snr_db=value, seed=0)

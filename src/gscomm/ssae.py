@@ -316,8 +316,7 @@ def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bit
 
     weights = mask.patch_weights
     t = weights.size
-    gh = mask.patch_grid[0] if mask.patch_grid else 0
-    patch_size = image.shape[1] // gh if gh else 0
+    patch_size = image.shape[1] // weights.shape[-2]
 
     selected = np.flatnonzero(weights > psi)
     m_sel = selected.size

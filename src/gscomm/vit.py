@@ -10,6 +10,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 
+MLP_RATIO = 4  # hidden width multiplier inside block MLPs
+
 
 @dataclass
 class ViTConfig:
@@ -19,7 +21,6 @@ class ViTConfig:
     heads: int = 4
     img_h: int = 32
     img_w: int = 32
-    mlp_ratio: int = 4  # hidden width multiplier inside block MLPs
 
     def __post_init__(self):
         for name in ("patch_size", "dim", "blocks", "heads", "img_h", "img_w"):
@@ -44,28 +45,30 @@ class ViTConfig:
 
 
 def patchify(image, patch_size):
-    """Split a 3xHxW image into T raster-order patch vectors of length 3*P*P."""
-    image = np.asarray(image, dtype=np.float64)
-    c, h, w = image.shape
+    """Split [..., 3, H, W] images, arrays or Tensors, into [..., T, 3*P*P] raster-order
+    patch vectors; leading axes are batch axes."""
+    if not isinstance(image, Tensor):
+        image = np.asarray(image, dtype=np.float64)
+    *lead, c, h, w = image.shape
     p = patch_size
     if h % p or w % p:
         raise ValueError(f"extents {h}x{w} not divisible by patch size {p}")
     gh, gw = h // p, w // p
-    patches = (
-        image.reshape(c, gh, p, gw, p).transpose(1, 3, 0, 2, 4).reshape(gh * gw, c * p * p)
-    )
-    return patches
+    n = len(lead)
+    patches = image.reshape(*lead, c, gh, p, gw, p)
+    patches = patches.transpose(*range(n), n + 1, n + 3, n, n + 2, n + 4)
+    return patches.reshape(*lead, gh * gw, c * p * p)
 
 
-def unpatchify(patches, patch_size, img_h, img_w, channels=3):
-    """Exact inverse of patchify."""
+def unpatchify(patches, patch_size, img_h, img_w):
+    """Exact inverse of patchify for one image."""
     p = patch_size
     gh, gw = img_h // p, img_w // p
     return (
         np.asarray(patches, dtype=np.float64)
-        .reshape(gh, gw, channels, p, p)
+        .reshape(gh, gw, 3, p, p)
         .transpose(2, 0, 3, 1, 4)
-        .reshape(channels, img_h, img_w)
+        .reshape(3, img_h, img_w)
     )
 
 
@@ -81,7 +84,7 @@ def init_vit_params(config, rng, learnable=True):
     p["patch_embed.bias"] = Parameter(np.zeros(c), learnable=learnable)
     p["cls_token"] = make((c,))
     p["pos_embed"] = make((config.num_patches, c))
-    hidden = config.mlp_ratio * c
+    hidden = MLP_RATIO * c
     for u in range(config.blocks):
         b = f"blk{u}."
         p[b + "wq"] = make((c, c))
@@ -109,19 +112,12 @@ def vit_forward(image, config, params):
             f"image shape {image.data.shape} does not match config "
             f"(..., 3, {config.img_h}, {config.img_w})"
         )
-    c = config.dim
-    t = config.num_patches
-    p = config.patch_size
-    gh, gw = config.grid
-    n = len(lead)
+    c, t, p = config.dim, config.num_patches, config.patch_size
 
     # the patch embedding is a stride-P conv with a PxP kernel: one matmul over the
-    # raster-order patch vectors that patchify makes
-    patches = image.reshape(*lead, 3, gh, p, gw, p)
-    patches = patches.transpose(*range(n), n + 1, n + 3, n, n + 2, n + 4)
-    patches = patches.reshape(*lead, t, 3 * p * p)
+    # raster-order patch vectors
     kernel = params["patch_embed.kernel"].value.reshape(c, 3 * p * p)
-    patch_tokens = patches @ kernel.T + params["patch_embed.bias"].value
+    patch_tokens = patchify(image, p) @ kernel.T + params["patch_embed.bias"].value
     patch_tokens = patch_tokens + params["pos_embed"].value
     cls = params["cls_token"].value + np.zeros((*lead, 1, c))
     x = ad.concat([cls, patch_tokens], axis=-2)

@@ -234,7 +234,7 @@ def _out_and_grad(op, x, g):
 
 class TestNormalize:
     def test_layernorm_closed_form(self):
-        out = ad.layernorm(Tensor([1.0, 2.0, 3.0]), eps=1e-12)
+        out = ad.layernorm(Tensor([1.0, 2.0, 3.0]))
         assert out.data == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-4)
 
     def test_layernorm_constant_row(self):

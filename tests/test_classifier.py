@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gscomm import autodiff as ad
+from gscomm.autodiff import _clamp_min
 from gscomm.classifier import (
     ClassifierConfig,
     ClassifierModel,
@@ -11,7 +12,6 @@ from gscomm.classifier import (
     finetune,
 )
 from gscomm.datasets import synthetic_dataset
-from gscomm.distill import _clamp_min
 from gscomm.vit import ViTConfig
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from gscomm.channel import ChannelConfig
 from gscomm.cli import _models, main, parse_config, read_config
-from gscomm.datasets import read_ppm, write_ppm
+from gscomm.datasets import STL10_IMAGE_BYTES, read_ppm, write_ppm
 from gscomm.distill import DistillConfig
 from gscomm.framing import parse_frame
 from gscomm.masking import MaskParams
@@ -207,6 +207,27 @@ def test_train_ssae_rejects_non_square_extents(tmp_path, tiny_config):
     with pytest.raises(ValueError, match="img_w = 32 differs from img_h = 16"):
         main(["train-ssae", "--config", str(cfg), "--out", str(ckpt)])
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("key", ["images_per_class", "num_classes"])
+@pytest.mark.parametrize("command", ["train-mae", "train-ssae", "finetune"])
+def test_trainers_reject_empty_synthetic_data_set(tmp_path, tiny_config, command, key):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(tiny_config.read_text() + f"{key} = 0\n")
+    ckpt = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=f"^{key} must be at least 1, got 0$"):
+        main([command, "--config", str(cfg), "--out", str(ckpt)])
+    assert not ckpt.exists()
+
+
+def test_stl10_limit_below_one_rejected(tmp_path):
+    data = tmp_path / "one.bin"
+    data.write_bytes(bytes(STL10_IMAGE_BYTES))
+    cfg = tmp_path / "stl.cfg"
+    cfg.write_text(f"dataset = stl10_binary\ndataset_path = {data}\nlimit = 0\n"
+                   "img_h = 96\nimg_w = 96\n")
+    with pytest.raises(ValueError, match="^limit must be at least 1, got 0$"):
+        main(["train-ssae", "--config", str(cfg), "--out", str(tmp_path / "ssae.ckpt")])
 
 
 def test_evaluate_and_sweep(tmp_path, tiny_config):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gscomm import autodiff as ad
-from gscomm.checkpoint import clone_params, params_checksum
 from gscomm.datasets import synthetic_dataset
 from gscomm.distill import (
     DistillConfig,
@@ -154,17 +153,17 @@ class TestMakeViews:
 class TestTrainStep:
     def test_teacher_unchanged_after_steps(self, teacher, student, config):
         images = [ex.image for ex in synthetic_dataset(2, 2, 16, seed=3)]
-        before = params_checksum(teacher.params)
+        before = {name: p.data.copy() for name, p in teacher.params.items()}
         rng = np.random.default_rng(0)
         for _ in range(10):
             train_step_distill(student, teacher, images, config, lr=0.05, rng=rng)
-        assert params_checksum(teacher.params) == before
+        for name, p in teacher.params.items():
+            assert np.array_equal(p.data, before[name]), name
 
     def test_copy_student_identity_views_gives_entropy(self, teacher, vit_config):
         cfg = DistillConfig(masked_patches=0, xi_range=(1.0, 1.0), proj_dim=8)
-        student = MaskingNetwork(
-            vit_config, cfg, params=clone_params(teacher.params, learnable=True)
-        )
+        # the teacher's seed: a learnable copy of the teacher
+        student = MaskingNetwork(vit_config, cfg, rng=np.random.default_rng(1))
         images = [ex.image for ex in synthetic_dataset(2, 2, 16, seed=3)]
         rng = np.random.default_rng(0)
         entropies = []
@@ -209,7 +208,6 @@ class TestBatched:
             assert np.array_equal(mask.mask[i], one_mask.mask)
             assert np.array_equal(mask.mask3[i], one_mask.mask3)
             assert np.array_equal(mask.patch_weights[i], one_mask.patch_weights)
-            assert mask.patch_grid == one_mask.patch_grid
 
     @pytest.mark.parametrize("case", BATCHED_CASES)
     def test_make_views_draws_image_by_image(self, case):

@@ -140,6 +140,15 @@ class TestSerialize:
         with pytest.raises(ValueError, match=r"^P = 8 must be at least 1 and divide H = 20 "):
             serialize_frame(q, plan, cfg, (20, 16, 8))
 
+    def test_plan_patch_size_differing_from_p_rejected(self, rng):
+        # 16 flags fit T at P = 8 on 32x32, but the RLE stream holds 2 * 4 * 4 indices,
+        # not the 2 * 8 * 8 that parse_frame would read at P = 8
+        cfg = SSAEConfig(latent_channels=4, downs=2, bits=8)
+        q = quantize(rng.random(cfg.latent_shape(32, 32)), 8)
+        plan = refining_plan(rng, 16, 2, 8, 4, 4)
+        with pytest.raises(ValueError, match=r"^P = 8 differs from the plan's patch size 4$"):
+            serialize_frame(q, plan, cfg, (32, 32, 8))
+
     def test_zero_patch_size_rejected(self, rng):
         q, plan, cfg, (h, w, _) = random_frame(rng, refine=False)
         with pytest.raises(ValueError, match=r"^P = 0 must be at least 1 "):
@@ -148,8 +157,7 @@ class TestSerialize:
     def test_rle_longer_than_header_field_rejected(self, rng):
         # 9216 refined pixels of noise: nearly every pixel starts a 12-bit record
         image = rng.random((3, 96, 96))
-        mask = SemanticMask(mask=np.ones((96, 96)), mask3=np.ones((3, 96, 96)),
-                            patch_weights=np.full(144, 0.01), patch_grid=(12, 12))
+        mask = SemanticMask(mask=np.ones((96, 96)), patch_weights=np.full((12, 12), 0.01))
         plan = plan_refinement(image, image, mask, 1e-3, 1.0, 16, 8)
         cfg = SSAEConfig(latent_channels=4, downs=3, bits=8)
         q = quantize(rng.random(cfg.latent_shape(96, 96)), 8)

@@ -3,13 +3,18 @@ import pytest
 
 from gscomm.masking import (
     MaskParams,
+    SemanticMask,
     apply_mask,
     build_semantic_mask,
     cls_attention_maps,
-    mask_from_array,
     write_pbm,
 )
 from gscomm.vit import ViTConfig
+
+
+def _mask(mask2d):
+    """A SemanticMask over a plain HxW binary array, with one patch."""
+    return SemanticMask(mask=np.asarray(mask2d, dtype=np.float64), patch_weights=np.zeros((1, 1)))
 
 
 class TestClsAttentionMaps:
@@ -60,9 +65,7 @@ class TestBuildSemanticMask:
     def test_single_cell_single_head(self):
         grid = np.zeros((1, 4, 4))
         grid[0, 1, 1] = 1.0
-        mask = build_semantic_mask(
-            grid, MaskParams(rho=0.5, final_threshold=0.5), (32, 32)
-        )
+        mask = build_semantic_mask(grid, MaskParams(rho=0.5), (32, 32))
         # center pixel of patch (1,1); the upsampled bump peaks there
         assert mask.mask[mask.mask.shape[0] * 3 // 8, mask.mask.shape[1] * 3 // 8] == 1.0
         assert mask.mask[0, 0] == 0.0
@@ -79,33 +82,45 @@ class TestBuildSemanticMask:
         a = build_semantic_mask(raw, MaskParams(rho=5e-3), (16, 16))
         b = build_semantic_mask(raw, MaskParams(rho=1e-4), (16, 16))
         assert np.array_equal(a.patch_weights, b.patch_weights)
-        assert a.patch_weights == pytest.approx(raw.sum(axis=0).reshape(-1))
+        assert a.patch_weights == pytest.approx(raw.sum(axis=0))
+
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_mask3_is_read_only_broadcast(self, rng, lead):
+        mask = build_semantic_mask(rng.random((*lead, 2, 4, 4)) * 0.01, MaskParams(5e-3), (16, 8))
+        assert mask.mask.shape == (*lead, 16, 8)
+        assert mask.patch_weights.shape == (*lead, 4, 4)
+        want = np.stack([mask.mask] * 3, axis=-3)
+        assert mask.mask3.shape == want.shape == (*lead, 3, 16, 8)
+        assert np.array_equal(mask.mask3, want)
+        assert not mask.mask3.flags.writeable
+        with pytest.raises(ValueError):
+            mask.mask3[..., 0, 0, 0] = 1.0
 
 
 class TestApplyMask:
     def test_identity_mask(self, rng):
         image = rng.random((3, 8, 8))
-        assert np.array_equal(apply_mask(image, mask_from_array(np.ones((8, 8)))), image)
+        assert np.array_equal(apply_mask(image, _mask(np.ones((8, 8)))), image)
 
     def test_zero_mask(self, rng):
         image = rng.random((3, 8, 8))
-        assert np.all(apply_mask(image, mask_from_array(np.zeros((8, 8)))) == 0)
+        assert np.all(apply_mask(image, _mask(np.zeros((8, 8)))) == 0)
 
     def test_checkerboard(self, rng):
         image = rng.random((3, 8, 8)) + 0.1
         board = np.indices((8, 8)).sum(axis=0) % 2
-        out = apply_mask(image, mask_from_array(board))
+        out = apply_mask(image, _mask(board))
         assert np.array_equal(out != 0, np.broadcast_to(board, (3, 8, 8)) == 1)
 
     def test_idempotent(self, rng):
         image = rng.random((3, 8, 8))
-        mask = mask_from_array((rng.random((8, 8)) > 0.5).astype(float))
+        mask = _mask((rng.random((8, 8)) > 0.5).astype(float))
         once = apply_mask(image, mask)
         assert np.array_equal(apply_mask(once, mask), once)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            apply_mask(rng.random((3, 8, 8)), mask_from_array(np.ones((4, 4))))
+            apply_mask(rng.random((3, 8, 8)), _mask(np.ones((4, 4))))
 
 
 class TestExports:

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from gscomm.channel import CODECS, ChannelConfig
-from gscomm.checkpoint import load_params, params_checksum, save_params
+from gscomm.checkpoint import load_params, save_params
 from gscomm.classifier import ClassifierModel
 from gscomm.datasets import (
     STL10_IMAGE_BYTES,
@@ -16,7 +17,7 @@ from gscomm.datasets import (
 )
 from gscomm.distill import DistillConfig, MaskingNetwork
 from gscomm.errors import DatasetFormatError, UndefinedMetricError
-from gscomm.masking import apply_mask, mask_from_array
+from gscomm.masking import SemanticMask, apply_mask
 from gscomm.metrics import masked_psnr
 from gscomm.pipeline import (
     PipelineModels,
@@ -167,7 +168,7 @@ class TestMaskedPsnr:
     def test_accepts_semantic_mask(self, rng):
         a = rng.random((3, 4, 4))
         b = rng.random((3, 4, 4))
-        m = mask_from_array(np.ones((4, 4)))
+        m = SemanticMask(mask=np.ones((4, 4)), patch_weights=np.zeros((1, 1)))
         assert masked_psnr(a, b, m) == pytest.approx(masked_psnr(a, b, np.ones((4, 4))))
 
 
@@ -198,7 +199,22 @@ class TestCheckpoint:
         load_params(path, target)
         for k in params:
             assert np.allclose(target[k].value.data, params[k].value.data, atol=1e-6)
-        assert params_checksum(target) == pytest.approx(params_checksum(params), rel=1e-6)
+            # values are stored as float32, so a load gives back exactly the rounded values
+            assert np.array_equal(target[k].value.data, params[k].value.data.astype("<f4"))
+
+    @pytest.mark.parametrize("model, size, sha256", [
+        (lambda: MaskingNetwork(ViTConfig(), DistillConfig(), rng=np.random.default_rng(0)),
+         151_996, "10ab3d70b36b01983b834dd3e804dba83dd536ce1f61d7e1cdcc852197087b51"),
+        (lambda: ClassifierModel(ViTConfig(), 4, rng=np.random.default_rng(0)),
+         127_348, "2c640db948708daa6bc84e42d1063020464e41274622c970334bc4fddc3dc7a2"),
+    ], ids=["masker", "classifier"])
+    def test_untrained_layout(self, tmp_path, model, size, sha256):
+        # pins the parameter names, order, shapes and initial draws of both ViT models
+        path = tmp_path / "model.ckpt"
+        save_params(path, model().params)
+        blob = path.read_bytes()
+        assert len(blob) == size
+        assert hashlib.sha256(blob).hexdigest() == sha256
 
     @staticmethod
     def _rejected_unchanged(path, target, match):
@@ -337,6 +353,12 @@ class TestReportAndSweep:
     def test_empty_grid(self, small_models):
         with pytest.raises(ValueError):
             sweep([], [], small_models, RefineParams())
+
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_replicates_below_one(self, small_models, rng, replicates):
+        examples = [(rng.random((3, 32, 32)), 0)]
+        with pytest.raises(ValueError, match=f"replicates must be at least 1, got {replicates}"):
+            sweep(examples, [0.0], small_models, RefineParams(), replicates=replicates)
 
     def test_unknown_mode_raises(self, small_models, rng):
         examples = [(rng.random((3, 32, 32)), 0)]

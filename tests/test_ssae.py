@@ -12,7 +12,7 @@ from gscomm import autodiff as ad
 from gscomm.autodiff import Tensor
 from gscomm.checkpoint import load_params, save_params
 from gscomm.errors import CorruptFrameError
-from gscomm.masking import SemanticMask, mask_from_array
+from gscomm.masking import SemanticMask
 from gscomm.ssae import (
     SSAE,
     QuantizedLatent,
@@ -161,9 +161,7 @@ def full_mask(h, w, patch_size, weights=None):
         weights = np.full(gh * gw, 0.01)
     return SemanticMask(
         mask=np.ones((h, w)),
-        mask3=np.ones((3, h, w)),
-        patch_weights=np.asarray(weights, dtype=np.float64),
-        patch_grid=(gh, gw),
+        patch_weights=np.asarray(weights, dtype=np.float64).reshape(gh, gw),
     )
 
 
@@ -503,12 +501,7 @@ class TestPlanRefinement:
         # patch 0 error 0.9^2*..., patch 1 smaller
         recon[:, 0:8, 0:8] += 0.9
         recon[:, 8:16, 0:8] += 0.1
-        mask = SemanticMask(
-            mask=np.ones((16, 8)),
-            mask3=np.ones((3, 16, 8)),
-            patch_weights=np.array([0.01, 0.01]),
-            patch_grid=(2, 1),
-        )
+        mask = SemanticMask(mask=np.ones((16, 8)), patch_weights=np.array([[0.01], [0.01]]))
         plan = plan_refinement(image, recon, mask, psi=1e-3, eta=0.5, palette_size=8, run_bits=4)
         assert plan.t_prime == np.floor(0.5 * np.sum(mask.patch_weights > 1e-3) + 0.5) == 1
         assert plan.flags.tolist() == [1, 0]

@@ -61,6 +61,19 @@ class TestPatchify:
         assert patches.shape == (1, 192)
         assert np.array_equal(patches[0], image.reshape(-1))
 
+    def test_batch_equals_stacked_images(self, rng):
+        images = rng.random((2, 3, 3, 16, 24))
+        patches = patchify(images, 8)
+        assert patches.shape == (2, 3, 6, 192)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(patches[i, j], patchify(images[i, j], 8))
+
+    def test_tensor_equals_array(self, rng):
+        images = rng.random((4, 3, 16, 16))
+        out = patchify(Tensor(images), 8)
+        assert isinstance(out, Tensor)
+        assert np.array_equal(out.data, patchify(images, 8))
+
     def test_non_divisible_rejected(self, rng):
         with pytest.raises(ValueError):
             patchify(rng.random((3, 30, 32)), 8)
