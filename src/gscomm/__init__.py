@@ -13,10 +13,10 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .framing import frame_size_bits, parse_frame, serialize_frame
-from .masking import MaskParams, SemanticMask, apply_mask, build_semantic_mask, cls_attention_maps
+from .masking import SemanticMask, apply_mask, build_semantic_mask, cls_attention_maps
 from .metrics import masked_psnr
 from .pipeline import PipelineModels, RefineParams, receive, run_end_to_end, sweep, transmit
 from .ssae import SSAE, SSAEConfig, apply_refinement, kmeans_palette, plan_refinement, quantize
-from .vit import ViTConfig, patchify, unpatchify, vit_forward
+from .vit import ViTConfig, patchify, vit_forward
 
 __version__ = "0.1.0"

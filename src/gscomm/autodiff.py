@@ -91,7 +91,7 @@ class Tensor:
     def __add__(self, other):
         other = _as_tensor(other)
         out = Tensor(self.data + other.data, (self, other))
-        out._backward = _broadcast_backward(out, self, other, lambda g: g, lambda g: g)
+        out._backward = _broadcast_backward(self, other, lambda g: g, lambda g: g)
         return out
 
     def __radd__(self, other):
@@ -100,7 +100,7 @@ class Tensor:
     def __sub__(self, other):
         other = _as_tensor(other)
         out = Tensor(self.data - other.data, (self, other))
-        out._backward = _broadcast_backward(out, self, other, lambda g: g, lambda g: -g)
+        out._backward = _broadcast_backward(self, other, lambda g: g, lambda g: -g)
         return out
 
     def __rsub__(self, other):
@@ -110,7 +110,7 @@ class Tensor:
         other = _as_tensor(other)
         out = Tensor(self.data * other.data, (self, other))
         out._backward = _broadcast_backward(
-            out, self, other, lambda g: g * other.data, lambda g: g * self.data
+            self, other, lambda g: g * other.data, lambda g: g * self.data
         )
         return out
 
@@ -250,7 +250,7 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _broadcast_backward(out, a, b, fa, fb):
+def _broadcast_backward(a, b, fa, fb):
     def bwd(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(fa(g), a.data.shape))
@@ -389,14 +389,7 @@ def upsample_nearest2(x):
 
 
 def relu(x):
-    x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), (x,))
-
-    def bwd(g):
-        x._accumulate(g * (x.data > 0))
-
-    out._backward = bwd
-    return out
+    return _clamp_min(_as_tensor(x), 0.0)
 
 
 def sigmoid(x):

@@ -26,15 +26,20 @@ def save_params(path, params):
 
 def load_params(path, params):
     """Load values into an existing dict name -> Parameter. The checkpoint must hold
-    exactly the dict's tensors, with the same shapes, and nothing after them; on
-    any mismatch no value is changed."""
+    exactly the dict's tensors, with the same shapes, and nothing after them; a
+    malformed or mismatched file raises DatasetFormatError and changes no value."""
     with open(path, "rb") as fh:
         manifest = fh.readline()
         blob = fh.read()
+    if not manifest.isascii():
+        raise DatasetFormatError("checkpoint manifest is not ASCII")
     values, offset = {}, 0
-    for item in manifest.decode("ascii").strip().split():
+    for item in manifest.decode("ascii").split():
         name, _, dims = item.partition(":")
-        shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+        extents = dims.split(",") if dims else []
+        if not all(d.isdigit() for d in extents):
+            raise DatasetFormatError(f"bad shape {dims!r} for tensor {name!r} in checkpoint")
+        shape = tuple(int(d) for d in extents)
         count = int(np.prod(shape)) if shape else 1
         chunk = blob[offset * 4 : (offset + count) * 4]
         if len(chunk) != count * 4:

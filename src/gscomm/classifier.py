@@ -42,7 +42,7 @@ class ClassifierModel:
         if rng is None:
             rng = np.random.default_rng(0)
         if backbone_params is None:
-            self.params = init_vit_params(vit_config, rng, learnable=True)
+            self.params = init_vit_params(vit_config, rng)
         else:
             # e.g. the distilled student checkpoint; head params are dropped
             backbone = {k: v for k, v in backbone_params.items() if not k.startswith("head.")}

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .channel import CODECS, ChannelConfig
 from .checkpoint import load_params, save_params
 from .classifier import ClassifierModel
-from .datasets import load_stl10_binary, read_ppm, synthetic_dataset, write_ppm
+from .datasets import SyntheticExample, load_stl10_binary, read_ppm, synthetic_dataset, write_ppm
 from .distill import DistillConfig, MaskingNetwork
 from .framing import bits_to_bytes, bytes_to_bits
-from .masking import MaskParams, write_pbm
+from .masking import write_pbm
 from .pipeline import (
     PipelineModels,
     RefineParams,
@@ -54,27 +55,10 @@ def parse_config(path):
     return cfg
 
 
-# The keys a config file sets on each library dataclass; every other field keeps
-# its default. DistillConfig's `xi_range` is set by the keys `xi_lo` and `xi_hi`.
-CONFIG_KEYS = {
-    ViTConfig: ("patch_size", "dim", "blocks", "heads", "img_h", "img_w"),
-    DistillConfig: ("epsilon", "proj_dim", "masked_patches"),
-    MaskParams: ("rho",),
-    SSAEConfig: ("latent_channels", "downs", "bits", "stem_channels"),
-    RefineParams: ("psi", "eta", "palette_size", "run_bits"),
-    TrainBudget: ("distill_steps", "distill_lr", "ssae_steps", "ssae_lr",
-                  "finetune_steps", "finetune_lr", "batch_size"),
-}
-
-
 def read_config(cls, cfg):
-    """Build dataclass `cls` from a parsed config: each key is parsed with the type
-    of its field's default, and a missing key keeps the default."""
-    values = {key: type(getattr(cls, key))(cfg[key]) for key in CONFIG_KEYS[cls] if key in cfg}
-    if cls is DistillConfig:
-        lo, hi = cls.xi_range
-        values["xi_range"] = (float(cfg.get("xi_lo", lo)), float(cfg.get("xi_hi", hi)))
-    return cls(**values)
+    """Build dataclass `cls` from a parsed config: each field is a key, parsed with
+    the type of the field's default, and a missing key keeps the default."""
+    return cls(**{f.name: type(f.default)(cfg[f.name]) for f in fields(cls) if f.name in cfg})
 
 
 def _count(cfg, key, default):
@@ -97,19 +81,13 @@ def _dataset(cfg, seed):
         )
     if source == "stl10_binary":
         images = load_stl10_binary(cfg["dataset_path"], limit=_count(cfg, "limit", 16))
-        from .datasets import SyntheticExample
-
         return [SyntheticExample(image=im, label=0, fg_mask=np.ones(im.shape[1:])) for im in images]
     raise ValueError(f"unknown dataset source {source!r}")
 
 
 def _load_masker(cfg, seed):
-    net = MaskingNetwork(
-        read_config(ViTConfig, cfg),
-        read_config(DistillConfig, cfg),
-        rng=np.random.default_rng(seed),
-        mask_params=read_config(MaskParams, cfg),
-    )
+    net = MaskingNetwork(read_config(ViTConfig, cfg), read_config(DistillConfig, cfg),
+                         rng=np.random.default_rng(seed))
     if "mae_ckpt" in cfg:
         load_params(cfg["mae_ckpt"], net.params)
     return net

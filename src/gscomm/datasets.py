@@ -101,12 +101,14 @@ def load_stl10_binary(path, limit=None):
 
 
 def _read_token(blob, pos):
-    while pos < len(blob) and blob[pos : pos + 1].isspace():
-        pos += 1
-    if pos < len(blob) and blob[pos : pos + 1] == b"#":
+    """The next whitespace-delimited header token, skipping any number of '#' comments."""
+    while True:
+        while pos < len(blob) and blob[pos : pos + 1].isspace():
+            pos += 1
+        if blob[pos : pos + 1] != b"#":
+            break
         while pos < len(blob) and blob[pos : pos + 1] != b"\n":
             pos += 1
-        return _read_token(blob, pos)
     start = pos
     while pos < len(blob) and not blob[pos : pos + 1].isspace():
         pos += 1

@@ -1,8 +1,8 @@
 """Student/teacher self-distillation of the masking network.
 
-The teacher is fixed (non-learnable parameters); gradients flow only through
-the student. Views: the teacher's coarse mask gives the weak view, the student
-view additionally zeroes X random patches and applies color jitter.
+The teacher is a random network that no step updates; its outputs enter the
+loss as constants. Views: the teacher's coarse mask gives the weak view, the
+student view additionally zeroes X random patches and applies color jitter.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, _clamp_min
-from .masking import MaskParams, apply_mask, build_semantic_mask, cls_attention_maps
-from .vit import init_vit_params, patchify, unpatchify, vit_forward
+from .masking import apply_mask, build_semantic_mask, cls_attention_maps
+from .vit import init_vit_params, vit_forward
 
 LOG_FLOOR = 1e-12
 LUMA = np.array([0.299, 0.587, 0.114])
@@ -25,7 +25,9 @@ class DistillConfig:
     epsilon: float = 0.1  # softmax temperature
     proj_dim: int = 16  # K
     masked_patches: int = 4  # X
-    xi_range: tuple = (0.9, 1.1)
+    xi_lo: float = 0.9  # colour-jitter factors of the student view lie in [xi_lo, xi_hi]
+    xi_hi: float = 1.1
+    rho: float = 2e-3  # per-head binarization threshold of the semantic mask
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -34,9 +36,10 @@ class DistillConfig:
             raise ValueError("projection dimension must be >= 2")
         if self.masked_patches < 0:
             raise ValueError("masked patch count must be >= 0")
-        lo, hi = self.xi_range
-        if not (0 < lo <= hi < 2):
-            raise ValueError("xi_range must lie within (0, 2)")
+        if not (0 < self.xi_lo <= self.xi_hi < 2):
+            raise ValueError("xi_lo and xi_hi must satisfy 0 < xi_lo <= xi_hi < 2")
+        if self.rho < 0:
+            raise ValueError("rho must be non-negative")
 
 
 @dataclass
@@ -51,31 +54,30 @@ class ProjectionOutput:
     q: Tensor  # length-K probability vector
 
 
-def init_head_params(vit_config, distill_config, rng, learnable=True):
+def init_head_params(vit_config, distill_config, rng):
     c = vit_config.dim
     hidden = 4 * c
     k = distill_config.proj_dim
     return {
         # a larger scale than the backbone's keeps the projection head's
         # temperature-softmax targets away from the uniform fixed point
-        "head.w1": Parameter(rng.normal(0, 0.5, (c, hidden)), learnable=learnable),
-        "head.b1": Parameter(np.zeros(hidden), learnable=learnable),
-        "head.w2": Parameter(rng.normal(0, 0.5, (hidden, k)), learnable=learnable),
-        "head.b2": Parameter(np.zeros(k), learnable=learnable),
+        "head.w1": Parameter(rng.normal(0, 0.5, (c, hidden))),
+        "head.b1": Parameter(np.zeros(hidden)),
+        "head.w2": Parameter(rng.normal(0, 0.5, (hidden, k))),
+        "head.b2": Parameter(np.zeros(k)),
     }
 
 
 class MaskingNetwork:
-    """ViT backbone + projection head + mask parameters, as one unit."""
+    """ViT backbone + projection head, configured by a ViTConfig and a DistillConfig."""
 
-    def __init__(self, vit_config, distill_config, rng=None, learnable=True, mask_params=None):
+    def __init__(self, vit_config, distill_config, rng=None):
         self.vit_config = vit_config
         self.distill_config = distill_config
-        self.mask_params = mask_params or MaskParams()
         if rng is None:
             rng = np.random.default_rng(0)
-        self.params = init_vit_params(vit_config, rng, learnable=learnable)
-        self.params.update(init_head_params(vit_config, distill_config, rng, learnable))
+        self.params = init_vit_params(vit_config, rng)
+        self.params.update(init_head_params(vit_config, distill_config, rng))
 
     def forward(self, image):
         return vit_forward(image, self.vit_config, self.params)
@@ -84,12 +86,13 @@ class MaskingNetwork:
         tokens, _ = self.forward(image)
         return project_head(tokens[..., 0, :], self.params, self.distill_config.epsilon)
 
-    def semantic_mask(self, image, mask_params=None):
+    def semantic_mask(self, image, rho=None):
+        """The mask at binarization threshold `rho`, by default the config's."""
         _, attention = self.forward(image)
         maps = cls_attention_maps(attention, self.vit_config)
         return build_semantic_mask(
             maps,
-            mask_params or self.mask_params,
+            self.distill_config.rho if rho is None else rho,
             (self.vit_config.img_h, self.vit_config.img_w),
         )
 
@@ -154,18 +157,19 @@ def make_views(image, teacher, config, rng):
     if config.masked_patches > t:
         raise ValueError(f"cannot mask {config.masked_patches} of {t} patches")
 
-    coarse = teacher.semantic_mask(image, MaskParams(rho=teacher.mask_params.rho / 2.0))
+    coarse = teacher.semantic_mask(image, teacher.distill_config.rho / 2.0)
     teacher_view = apply_mask(image, coarse)
 
-    p = vit_cfg.patch_size
-    lo, hi = config.xi_range
+    p, gw = vit_cfg.patch_size, vit_cfg.grid[1]
+    lo, hi = config.xi_lo, config.xi_hi
     student_views = []
     for view in teacher_view.reshape(-1, *teacher_view.shape[-3:]):
         if config.masked_patches > 0:
-            patches = patchify(view, p).copy()
             drop = rng.choice(t, size=config.masked_patches, replace=False)
-            patches[drop] = 0.0
-            view = unpatchify(patches, p, vit_cfg.img_h, vit_cfg.img_w)
+            # patch k of the raster order is grid cell (k // gw, k % gw)
+            cells = view.reshape(3, -1, p, gw, p).copy()
+            cells[:, drop // gw, :, drop % gw, :] = 0.0
+            view = cells.reshape(view.shape)
         factors = [lo if lo == hi else float(rng.uniform(lo, hi)) for _ in range(3)]
         student_views.append(color_jitter(view, *factors))
     student_view = np.stack(student_views).reshape(teacher_view.shape)

@@ -13,15 +13,6 @@ FINAL_THRESHOLD = 0.5  # applied to the upsampled head-sum
 
 
 @dataclass
-class MaskParams:
-    rho: float = 2e-3  # per-head binarization threshold
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
-
-
-@dataclass
 class SemanticMask:
     mask: np.ndarray  # (..., H, W) in {0, 1}
     patch_weights: np.ndarray  # (..., H/P, W/P) head-summed raw attention per patch
@@ -43,10 +34,10 @@ def cls_attention_maps(attention, config):
     return attention[..., 0, 1:].reshape(*attention.shape[:-2], *config.grid)
 
 
-def build_semantic_mask(maps, params, target):
+def build_semantic_mask(maps, rho, target):
     """Binarize [..., heads, H/P, W/P] maps at rho, sum over heads, upsample, threshold."""
     h, w = target
-    binarized = (maps > params.rho).astype(np.float64)
+    binarized = (maps > rho).astype(np.float64)
     summed = binarized.sum(axis=-3)
     upsampled = bilinear_resize(summed, (h, w))
     mask = (upsampled > FINAL_THRESHOLD).astype(np.float64)

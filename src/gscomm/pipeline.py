@@ -185,12 +185,10 @@ class TrainBudget:
 
 
 def train_masker(examples, vit_config, distill_config, budget, seed):
-    """Distill a student masking network against a fixed random teacher."""
+    """Distill a student masking network against a random teacher that no step updates."""
     rng = np.random.default_rng(seed)
-    teacher = MaskingNetwork(vit_config, distill_config,
-                             rng=np.random.default_rng(seed + 1), learnable=False)
-    student = MaskingNetwork(vit_config, distill_config,
-                             rng=np.random.default_rng(seed + 2), learnable=True)
+    teacher = MaskingNetwork(vit_config, distill_config, rng=np.random.default_rng(seed + 1))
+    student = MaskingNetwork(vit_config, distill_config, rng=np.random.default_rng(seed + 2))
     images = [ex.image for ex in examples]
     losses = []
     for step in range(budget.distill_steps):

@@ -60,28 +60,16 @@ def patchify(image, patch_size):
     return patches.reshape(*lead, gh * gw, c * p * p)
 
 
-def unpatchify(patches, patch_size, img_h, img_w):
-    """Exact inverse of patchify for one image."""
-    p = patch_size
-    gh, gw = img_h // p, img_w // p
-    return (
-        np.asarray(patches, dtype=np.float64)
-        .reshape(gh, gw, 3, p, p)
-        .transpose(2, 0, 3, 1, 4)
-        .reshape(3, img_h, img_w)
-    )
-
-
-def init_vit_params(config, rng, learnable=True):
+def init_vit_params(config, rng):
     """Fresh parameter dict for one backbone."""
 
     def make(shape, scale=0.02):
-        return Parameter(rng.normal(0.0, scale, size=shape), learnable=learnable)
+        return Parameter(rng.normal(0.0, scale, size=shape))
 
     p = {}
     c = config.dim
     p["patch_embed.kernel"] = make((c, 3, config.patch_size, config.patch_size))
-    p["patch_embed.bias"] = Parameter(np.zeros(c), learnable=learnable)
+    p["patch_embed.bias"] = Parameter(np.zeros(c))
     p["cls_token"] = make((c,))
     p["pos_embed"] = make((config.num_patches, c))
     hidden = MLP_RATIO * c
@@ -92,9 +80,9 @@ def init_vit_params(config, rng, learnable=True):
         p[b + "wv"] = make((c, c))
         p[b + "wo"] = make((c, c))
         p[b + "mlp1.w"] = make((c, hidden))
-        p[b + "mlp1.b"] = Parameter(np.zeros(hidden), learnable=learnable)
+        p[b + "mlp1.b"] = Parameter(np.zeros(hidden))
         p[b + "mlp2.w"] = make((hidden, c))
-        p[b + "mlp2.b"] = Parameter(np.zeros(c), learnable=learnable)
+        p[b + "mlp2.b"] = Parameter(np.zeros(c))
     return p
 
 

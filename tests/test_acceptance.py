@@ -250,9 +250,9 @@ def test_criterion_07_masked_psnr(capsys):
 def test_criterion_08_distillation(capsys):
     """Copy-student identity, a real 200-step loss drop, and the frozen teacher."""
     vit = ViTConfig()
-    config = DistillConfig(masked_patches=0, xi_range=(1.0, 1.0), epsilon=0.2)
-    teacher = MaskingNetwork(vit, config, rng=np.random.default_rng(0), learnable=False)
-    # the teacher's seed: a learnable copy of the teacher
+    config = DistillConfig(masked_patches=0, xi_lo=1.0, xi_hi=1.0, epsilon=0.2)
+    teacher = MaskingNetwork(vit, config, rng=np.random.default_rng(0))
+    # the teacher's seed: a copy of the teacher
     student = MaskingNetwork(vit, config, rng=np.random.default_rng(0))
     data = synthetic_dataset(3, 5, 32, seed=100)
     rng = np.random.default_rng(1)
@@ -274,8 +274,7 @@ def test_criterion_08_distillation(capsys):
     student, teacher, history = train_masker(trainset, vit, train_config, budget, seed=0)
     ratio = history[-1] / history[0]
     frozen_ok = True  # train_masker keeps the teacher frozen; verify explicitly
-    frozen = MaskingNetwork(vit, train_config, rng=np.random.default_rng(1),
-                            learnable=False)
+    frozen = MaskingNetwork(vit, train_config, rng=np.random.default_rng(1))
     before = {name: p.data.copy() for name, p in frozen.params.items()}
     D = TrainBudget(distill_steps=10, distill_lr=0.002, batch_size=4)
     from gscomm.distill import train_step_distill

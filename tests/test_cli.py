@@ -1,5 +1,6 @@
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from gscomm.cli import _models, main, parse_config, read_config
 from gscomm.datasets import STL10_IMAGE_BYTES, read_ppm, write_ppm
 from gscomm.distill import DistillConfig
 from gscomm.framing import parse_frame
-from gscomm.masking import MaskParams
 from gscomm.pipeline import RefineParams, TrainBudget, receive, run_end_to_end, transmit
 from gscomm.ssae import SSAEConfig
 from gscomm.vit import ViTConfig
@@ -67,8 +67,7 @@ DOCUMENTED = {
 }
 WRITTEN = [
     ViTConfig(patch_size=4, dim=24, blocks=3, heads=6, img_h=24, img_w=12),
-    MaskParams(rho=0.01),
-    DistillConfig(epsilon=0.3, proj_dim=9, masked_patches=7, xi_range=(0.8, 1.2)),
+    DistillConfig(epsilon=0.3, proj_dim=9, masked_patches=7, xi_lo=0.8, xi_hi=1.2, rho=0.01),
     SSAEConfig(latent_channels=5, downs=1, bits=6, stem_channels=12),
     RefineParams(psi=0.02, eta=0.25, palette_size=5, run_bits=3),
     TrainBudget(distill_steps=11, distill_lr=0.125, ssae_steps=12, ssae_lr=0.5,
@@ -80,15 +79,40 @@ WRITTEN = [
 def test_read_config_sets_exactly_the_documented_keys(written):
     cls = type(written)
     assert read_config(cls, {}) == cls()
-    # every undocumented field name is present too, and must be ignored
-    cfg = dict(DOCUMENTED)
-    for other in WRITTEN:
-        cfg.update({f.name: "3" for f in fields(other) if f.name not in DOCUMENTED})
-    got = read_config(cls, cfg)
+    # the keys of every class are present; each class reads exactly its own fields
+    got = read_config(cls, DOCUMENTED)
     assert vars(got) == vars(written)
     assert {k: type(v) for k, v in vars(got).items()} == {
         k: type(v) for k, v in vars(written).items()
     }
+
+
+def test_documented_keys_are_the_dataclass_fields():
+    assert set(DOCUMENTED) == {f.name for written in WRITTEN for f in fields(written)}
+
+
+def _readme_key_table():
+    """README's CLI key table as {key: its documented default, or None when a row
+    does not give one default per key}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for line in readme.split("| key | default | meaning |\n", 1)[1].splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        keys_cell, default_cell = line.split("|")[1:3]
+        keys = re.findall(r"\w+", keys_cell)
+        defaults = [d.strip() for d in default_cell.split(",")]
+        table.update(zip(keys, defaults if len(defaults) == len(keys) else [None] * len(keys)))
+    return table
+
+
+@pytest.mark.parametrize("cls", [type(w) for w in WRITTEN], ids=lambda c: c.__name__)
+def test_readme_key_table_lists_every_field(cls):
+    table = _readme_key_table()
+    for f in fields(cls):
+        assert f.name in table, f"README's key table lacks {f.name}"
+        assert table[f.name] is not None, f"README's key table gives no default for {f.name}"
+        assert type(f.default)(table[f.name]) == f.default, f.name
 
 
 def test_train_ssae_and_codec_roundtrip(tmp_path, tiny_config, capsys):

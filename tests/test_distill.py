@@ -13,7 +13,8 @@ from gscomm.distill import (
     project_head,
     train_step_distill,
 )
-from gscomm.vit import ViTConfig
+from gscomm.pipeline import TrainBudget, train_masker
+from gscomm.vit import ViTConfig, patchify
 
 
 def _distill_step_reference(student, teacher, batch, config, lr, rng):
@@ -49,12 +50,12 @@ def vit_config():
 
 @pytest.fixture
 def config():
-    return DistillConfig(epsilon=0.1, proj_dim=8, masked_patches=2, xi_range=(0.9, 1.1))
+    return DistillConfig(epsilon=0.1, proj_dim=8, masked_patches=2, xi_lo=0.9, xi_hi=1.1)
 
 
 @pytest.fixture
 def teacher(vit_config, config):
-    return MaskingNetwork(vit_config, config, rng=np.random.default_rng(1), learnable=False)
+    return MaskingNetwork(vit_config, config, rng=np.random.default_rng(1))
 
 
 @pytest.fixture
@@ -118,7 +119,7 @@ class TestDistillLoss:
 
 class TestMakeViews:
     def test_identity_augmentation(self, teacher):
-        cfg = DistillConfig(masked_patches=0, xi_range=(1.0, 1.0), proj_dim=8)
+        cfg = DistillConfig(masked_patches=0, xi_lo=1.0, xi_hi=1.0, proj_dim=8)
         image = np.random.default_rng(5).random((3, 16, 16))
         views = make_views(image, teacher, cfg, np.random.default_rng(0))
         assert np.array_equal(views.student_view, views.teacher_view)
@@ -137,13 +138,29 @@ class TestMakeViews:
         assert np.array_equal(a.student_view, b.student_view)
         assert np.array_equal(a.teacher_view, b.teacher_view)
 
+    def test_partial_masking_zeroes_whole_drawn_patches(self):
+        # a 2x4 patch grid; rho = 0 keeps every pixel in the teacher view
+        vit_cfg = ViTConfig(patch_size=8, dim=16, blocks=1, heads=2, img_h=16, img_w=32)
+        cfg = DistillConfig(proj_dim=8, masked_patches=2, xi_lo=1.0, xi_hi=1.0, rho=0.0)
+        teacher = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(1))
+        image = 0.5 + 0.5 * np.random.default_rng(5).random((3, 16, 32))
+        views = make_views(image, teacher, cfg, np.random.default_rng(7))
+        assert np.array_equal(views.teacher_view, image)
+        student, teacher_patches = patchify(views.student_view, 8), patchify(image, 8)
+        drop = np.random.default_rng(7).choice(8, size=2, replace=False)
+        changed = np.flatnonzero((student != teacher_patches).any(axis=1))
+        assert sorted(changed) == sorted(drop)
+        assert np.all(student[drop] == 0.0)
+        kept = np.setdiff1d(np.arange(8), drop)
+        assert np.array_equal(student[kept], teacher_patches[kept])
+
     def test_too_many_patches(self, teacher):
         with pytest.raises(ValueError):
             cfg = DistillConfig(masked_patches=teacher.vit_config.num_patches + 1, proj_dim=8)
             make_views(np.zeros((3, 16, 16)), teacher, cfg, np.random.default_rng(0))
 
     def test_views_clamped(self, teacher):
-        cfg = DistillConfig(masked_patches=0, xi_range=(1.5, 1.5), proj_dim=8)
+        cfg = DistillConfig(masked_patches=0, xi_lo=1.5, xi_hi=1.5, proj_dim=8)
         image = np.random.default_rng(5).random((3, 16, 16))
         views = make_views(image, teacher, cfg, np.random.default_rng(0))
         assert views.student_view.min() >= 0.0
@@ -160,9 +177,19 @@ class TestTrainStep:
         for name, p in teacher.params.items():
             assert np.array_equal(p.data, before[name]), name
 
+    def test_train_masker_returns_the_teacher_as_built(self, vit_config, config):
+        data = synthetic_dataset(2, 2, 16, seed=3)
+        budget = TrainBudget(distill_steps=3, distill_lr=0.05, batch_size=2)
+        _, teacher, losses = train_masker(data, vit_config, config, budget, seed=5)
+        assert len(losses) == 3
+        fresh = MaskingNetwork(vit_config, config, rng=np.random.default_rng(5 + 1))
+        assert teacher.params.keys() == fresh.params.keys()
+        for name, p in fresh.params.items():
+            assert np.array_equal(teacher.params[name].data, p.data), name
+
     def test_copy_student_identity_views_gives_entropy(self, teacher, vit_config):
-        cfg = DistillConfig(masked_patches=0, xi_range=(1.0, 1.0), proj_dim=8)
-        # the teacher's seed: a learnable copy of the teacher
+        cfg = DistillConfig(masked_patches=0, xi_lo=1.0, xi_hi=1.0, proj_dim=8)
+        # the teacher's seed: a copy of the teacher
         student = MaskingNetwork(vit_config, cfg, rng=np.random.default_rng(1))
         images = [ex.image for ex in synthetic_dataset(2, 2, 16, seed=3)]
         rng = np.random.default_rng(0)
@@ -179,7 +206,7 @@ class TestBatched:
     @pytest.mark.parametrize("case", BATCHED_CASES)
     def test_step_equals_per_image_graphs(self, case):
         vit_cfg, cfg, batch = BATCHED_CASES[case]
-        teacher = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(1), learnable=False)
+        teacher = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(1))
         student = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(2))
         twin = copy.deepcopy(student)
         images = [ex.image for ex in synthetic_dataset(4, 6, vit_cfg.img_h, seed=3)]
@@ -212,7 +239,7 @@ class TestBatched:
     @pytest.mark.parametrize("case", BATCHED_CASES)
     def test_make_views_draws_image_by_image(self, case):
         vit_cfg, cfg, batch = BATCHED_CASES[case]
-        teacher = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(1), learnable=False)
+        teacher = MaskingNetwork(vit_cfg, cfg, rng=np.random.default_rng(1))
         images = np.stack([ex.image for ex in synthetic_dataset(4, 2, vit_cfg.img_h, seed=5)])
         rng, one_rng = np.random.default_rng(6), np.random.default_rng(6)
         views = make_views(images, teacher, cfg, rng)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gscomm.masking import (
-    MaskParams,
     SemanticMask,
     apply_mask,
     build_semantic_mask,
@@ -53,19 +52,19 @@ class TestClsAttentionMaps:
 class TestBuildSemanticMask:
     def test_all_below_rho(self):
         maps = np.full((3, 4, 4), 1e-4)
-        mask = build_semantic_mask(maps, MaskParams(rho=1e-3), (32, 32))
+        mask = build_semantic_mask(maps, 1e-3, (32, 32))
         assert np.all(mask.mask == 0)
 
     def test_all_above_rho(self):
         maps = np.full((3, 4, 4), 0.5)
-        mask = build_semantic_mask(maps, MaskParams(rho=1e-3), (32, 32))
+        mask = build_semantic_mask(maps, 1e-3, (32, 32))
         assert np.all(mask.mask == 1)
         assert np.all(mask.mask3[0] == mask.mask3[2])
 
     def test_single_cell_single_head(self):
         grid = np.zeros((1, 4, 4))
         grid[0, 1, 1] = 1.0
-        mask = build_semantic_mask(grid, MaskParams(rho=0.5), (32, 32))
+        mask = build_semantic_mask(grid, 0.5, (32, 32))
         # center pixel of patch (1,1); the upsampled bump peaks there
         assert mask.mask[mask.mask.shape[0] * 3 // 8, mask.mask.shape[1] * 3 // 8] == 1.0
         assert mask.mask[0, 0] == 0.0
@@ -73,20 +72,20 @@ class TestBuildSemanticMask:
 
     def test_rho_monotonicity(self, rng):
         raw = rng.random((2, 4, 4)) * 0.01
-        hi = build_semantic_mask(raw, MaskParams(rho=5e-3), (16, 16))
-        lo = build_semantic_mask(raw, MaskParams(rho=1e-3), (16, 16))
+        hi = build_semantic_mask(raw, 5e-3, (16, 16))
+        lo = build_semantic_mask(raw, 1e-3, (16, 16))
         assert np.all(lo.mask >= hi.mask)
 
     def test_patch_weights_from_raw_maps(self, rng):
         raw = rng.random((2, 4, 4)) * 0.01
-        a = build_semantic_mask(raw, MaskParams(rho=5e-3), (16, 16))
-        b = build_semantic_mask(raw, MaskParams(rho=1e-4), (16, 16))
+        a = build_semantic_mask(raw, 5e-3, (16, 16))
+        b = build_semantic_mask(raw, 1e-4, (16, 16))
         assert np.array_equal(a.patch_weights, b.patch_weights)
         assert a.patch_weights == pytest.approx(raw.sum(axis=0))
 
     @pytest.mark.parametrize("lead", [(), (4,)])
     def test_mask3_is_read_only_broadcast(self, rng, lead):
-        mask = build_semantic_mask(rng.random((*lead, 2, 4, 4)) * 0.01, MaskParams(5e-3), (16, 8))
+        mask = build_semantic_mask(rng.random((*lead, 2, 4, 4)) * 0.01, 5e-3, (16, 8))
         assert mask.mask.shape == (*lead, 16, 8)
         assert mask.patch_weights.shape == (*lead, 4, 4)
         want = np.stack([mask.mask] * 3, axis=-3)

@@ -112,6 +112,13 @@ class TestPpm:
         with pytest.raises(DatasetFormatError):
             read_ppm(p)
 
+    def test_thousands_of_comment_lines(self, tmp_path):
+        # netpbm allows any number of header comments
+        p = tmp_path / "c.ppm"
+        p.write_bytes(b"P6\n" + b"# comment\n" * 3000 + b"2 1\n255\n" + bytes(range(6)))
+        image = read_ppm(p)
+        assert np.array_equal(image[:, 0, 1] * 255.0, [3.0, 4.0, 5.0])
+
     @pytest.mark.parametrize("extents", [b"0 4", b"4 0", b"-2 4", b"4 -1"])
     def test_empty_or_negative_extents(self, tmp_path, extents):
         p = tmp_path / "empty.ppm"
@@ -229,6 +236,17 @@ class TestCheckpoint:
         short = tmp_path / "short.ckpt"
         save_params(short, {k: p for k, p in params.items() if k != "head.b2"})
         self._rejected_unchanged(short, target, "checkpoint lacks tensor 'head.b2'")
+
+    @pytest.mark.parametrize("old, new, match", [
+        (b"patch_embed.kernel:", "pätch_embed.kernel:".encode(), "manifest is not ASCII"),
+        (b"kernel:16,3,8,8", b"kernel:16,3,8,x", "bad shape '16,3,8,x'"),
+        (b"kernel:16,3,8,8", b"kernel:-16,3,-8,8", "bad shape '-16,3,-8,8'"),
+    ], ids=["non-ascii", "non-integer", "negative"])
+    def test_malformed_manifest_rejected(self, tmp_path, saved, old, new, match):
+        path, _, target = saved
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(path.read_bytes().replace(old, new, 1))
+        self._rejected_unchanged(bad, target, match)
 
     def test_trailing_bytes_rejected(self, saved):
         path, _, target = saved

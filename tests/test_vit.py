@@ -4,7 +4,7 @@ import pytest
 from conftest import check_gradients, fd_gradient
 from gscomm import autodiff as ad
 from gscomm.autodiff import Parameter, Tensor
-from gscomm.vit import ViTConfig, init_vit_params, patchify, unpatchify, vit_forward
+from gscomm.vit import ViTConfig, init_vit_params, patchify, vit_forward
 
 
 def _layernorm(x, eps=1e-5):
@@ -50,10 +50,6 @@ class TestPatchify:
     def test_reference_scale_count(self, rng):
         patches = patchify(rng.random((3, 96, 96)), 8)
         assert patches.shape == (144, 3 * 64)
-
-    def test_roundtrip_bit_exact(self, rng):
-        image = rng.random((3, 32, 32))
-        assert np.array_equal(unpatchify(patchify(image, 8), 8, 32, 32), image)
 
     def test_single_patch(self, rng):
         image = rng.random((3, 8, 8))
@@ -186,9 +182,10 @@ class TestForward:
         params = init_vit_params(small_config, rng)
         params["pos_embed"].value.data[:] = 0.0
         image = rng.random((3, 16, 16))
-        patches = patchify(image, 8)
-        swapped = patches[[1, 0, 2, 3]]
-        image2 = unpatchify(swapped, 8, 16, 16)
+        # patches 0 and 1 are the top-left and top-right 8x8 blocks
+        image2 = image.copy()
+        image2[:, :8, :8], image2[:, :8, 8:] = image[:, :8, 8:], image[:, :8, :8]
+        assert np.array_equal(patchify(image2, 8), patchify(image, 8)[[1, 0, 2, 3]])
         t1, _ = vit_forward(image, small_config, params)
         t2, _ = vit_forward(image2, small_config, params)
         assert t2.data[1] == pytest.approx(t1.data[2], abs=1e-12)
