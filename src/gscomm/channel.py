@@ -43,6 +43,8 @@ def inject_bsc(bits, ber, seed):
     if not 0.0 <= ber <= 0.5:
         raise ValueError("ber must lie in [0, 0.5]")
     bits = np.asarray(bits, dtype=np.uint8)
+    if ber == 0.0:
+        return bits.copy()  # no draw can fall below 0
     flips = (_rng(seed).random(bits.size) < ber).astype(np.uint8)
     return bits ^ flips
 

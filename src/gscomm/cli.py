@@ -193,6 +193,9 @@ def cmd_transmit(args):
 
 
 def _models(cfg, seed):
+    fec = cfg.get("fec", "identity")
+    if fec not in CODECS:
+        raise ValueError(f"unknown fec {fec!r}; choices: {', '.join(sorted(CODECS))}")
     masker = _load_masker(cfg, seed)
     ssae = _load_ssae(cfg, seed)
     clf = None
@@ -202,9 +205,7 @@ def _models(cfg, seed):
             rng=np.random.default_rng(seed),
         )
         load_params(cfg["classifier_ckpt"], clf.params)
-    return PipelineModels(
-        masker=masker, ssae=ssae, classifier=clf, fec=CODECS[cfg.get("fec", "identity")]
-    )
+    return PipelineModels(masker=masker, ssae=ssae, classifier=clf, fec=CODECS[fec])
 
 
 def _examples(cfg, seed):

@@ -48,30 +48,46 @@ class PipelineModels:
             self.fec = CODECS["identity"]
 
 
-def transmit(image, models, refine, seed=0):
-    """Transmitter half: mask, encode, plan, serialize; returns (frame bytes, mask)."""
+def _transmit(image, models, refine, seed):
+    """`transmit`, also returning the transmitter's (QuantizedLatent, decode)."""
     image = np.asarray(image, dtype=np.float64)
     mask = models.masker.semantic_mask(image)
     masked = apply_mask(image, mask)
     _, quantized = models.ssae.encode_quantize(masked)
+    local = quantized, models.ssae.decode(quantized)
     plan = plan_refinement(
-        masked, models.ssae.decode(quantized), mask, refine.psi, refine.eta,
+        masked, local[1], mask, refine.psi, refine.eta,
         refine.palette_size, refine.run_bits, seed=seed,
     )
     dims = (image.shape[1], image.shape[2], models.masker.vit_config.patch_size)
-    return serialize_frame(quantized, plan, models.ssae.config, dims), mask
+    return serialize_frame(quantized, plan, models.ssae.config, dims), mask, local
 
 
-def receive(frame, ssae):
+def transmit(image, models, refine, seed=0):
+    """Transmitter half: mask, encode, plan, serialize; returns (frame bytes, mask)."""
+    return _transmit(image, models, refine, seed)[:2]
+
+
+def receive(frame, ssae, hint=None):
     """Receiver half: parse, decode, refine. Rejects with CorruptFrameError or
-    UnsupportedFormatError."""
+    UnsupportedFormatError.
+
+    `hint` is an optional (QuantizedLatent, decode) pair from the transmitter.
+    When the parsed latent has the hint's N and levels, the hint's decode is
+    used in place of decoding again; both give the same bytes.
+    """
     quantized, plan, _ = parse_frame(frame)
-    return apply_refinement(ssae.decode(quantized), plan)
+    if (hint is not None and quantized.bits == hint[0].bits
+            and np.array_equal(quantized.levels, hint[0].levels)):
+        recon = hint[1]
+    else:
+        recon = ssae.decode(quantized)
+    return apply_refinement(recon, plan)
 
 
 def run_end_to_end(image, models, refine, channel, label=None, seed=0):
     """One image through the full chain; returns (reconstruction, prediction, row)."""
-    frame, mask = transmit(image, models, refine, seed)
+    frame, mask, local = _transmit(image, models, refine, seed)
     payload_bits = 8 * len(frame)
 
     sent = bytes_to_bits(frame)
@@ -80,7 +96,7 @@ def run_end_to_end(image, models, refine, channel, label=None, seed=0):
 
     fraction = float(mask.mask.mean())
     try:
-        recon = receive(bits_to_bytes(decoded)[: len(frame)], models.ssae)
+        recon = receive(bits_to_bytes(decoded)[: len(frame)], models.ssae, local)
     except (CorruptFrameError, UnsupportedFormatError) as exc:
         row = ReportRow(payload_bits, ber, math.nan, math.nan, fraction, failure=str(exc))
         return None, None, row

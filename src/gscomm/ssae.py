@@ -150,9 +150,22 @@ class SSAE:
 # ---------------------------------------------------------------------------
 
 
-def _sq_distances(chans, centers):
-    """(n, F) squared distances from (3, n) channel-major pixels to (F, 3) centres."""
-    return ((chans[:, :, None] - centers.T[:, None, :]) ** 2).sum(axis=0)
+def _sq_distances(chans, centers, diff=None, out=None):
+    """(n, F) squared distances from (3, n) channel-major pixels to (F, 3) centres.
+
+    The channels add as c0 + c1, then + c2, the order `.sum(axis=0)` takes.
+    `diff` ([3, n, F]) and `out` ([n, F]) are optional work buffers.
+    """
+    diff = np.subtract(chans[:, :, None], centers.T[:, None, :], out=diff)
+    np.square(diff, out=diff)
+    out = np.add(diff[0], diff[1], out=out)
+    return np.add(out, diff[2], out=out)
+
+
+def _distinct_rows(chans):
+    """Number of distinct pixels among (3, n) channel-major pixels (0.0 equals -0.0)."""
+    ordered = chans[:, np.lexsort(chans)]
+    return 1 + int((ordered[:, 1:] != ordered[:, :-1]).any(axis=0).sum())
 
 
 def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
@@ -167,8 +180,8 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
         raise ValueError("need at least one pixel and one cluster")
     chans = np.ascontiguousarray(pixels.T)  # (3, n), whatever the input layout
 
-    uniq = np.unique(pixels, axis=0)
-    if uniq.shape[0] <= num_colors:
+    if _distinct_rows(chans) <= num_colors:
+        uniq = np.unique(pixels, axis=0)
         centers = np.vstack([uniq, np.repeat(uniq[-1:], num_colors - uniq.shape[0], axis=0)])
         assign = _sq_distances(chans, centers).argmin(axis=1)
         if return_inertia:
@@ -190,20 +203,26 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
     assign = None
     history = []
     rows = np.arange(n)
+    diff, d = np.empty((3, n, num_colors)), np.empty((n, num_colors))
+    offsets = (num_colors * np.arange(3))[:, None]  # bin k + F*c sums channel c of cluster k
     for _ in range(50):
-        d = _sq_distances(chans, centers)
+        _sq_distances(chans, centers, diff, d)
         new_assign = d.argmin(axis=1)
-        dist_to_own = d[rows, new_assign]
-        history.append(float(dist_to_own.sum()))
+        if return_inertia:
+            history.append(float(d[rows, new_assign].sum()))
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
         # bincount adds members in pixel order: the same floats as each cluster's mean
         counts = np.bincount(assign, minlength=num_colors)
-        sums = np.stack([np.bincount(assign, weights=ch, minlength=num_colors) for ch in chans])
-        full = counts > 0
-        centers[full] = (sums[:, full] / counts[full]).T
-        centers[~full] = pixels[dist_to_own.argmax()]
+        sums = np.bincount((assign + offsets).ravel(), weights=chans.ravel(),
+                           minlength=3 * num_colors).reshape(3, num_colors)
+        if counts.all():
+            centers[:] = (sums / counts).T
+        else:
+            full = counts > 0
+            centers[full] = (sums[:, full] / counts[full]).T
+            centers[~full] = pixels[d[rows, assign].argmax()]
     if return_inertia:
         return centers, assign, history
     return centers, assign

@@ -11,7 +11,13 @@ from gscomm import autodiff as ad
 from gscomm.autodiff import Tensor
 from gscomm.channel import CODECS, inject_bsc, measure_ber, transmit_awgn
 from gscomm.datasets import synthetic_dataset
-from gscomm.distill import DistillConfig, MaskingNetwork, distill_loss, make_views
+from gscomm.distill import (
+    DistillConfig,
+    MaskingNetwork,
+    distill_loss,
+    make_views,
+    train_step_distill,
+)
 from gscomm.errors import UndefinedMetricError
 from gscomm.framing import bytes_to_bits, frame_size_bits, parse_frame, serialize_frame
 from gscomm.metrics import masked_psnr
@@ -270,15 +276,10 @@ def test_criterion_08_distillation(capsys):
     train_config = DistillConfig(masked_patches=4, epsilon=0.2)
     budget = TrainBudget(distill_steps=200, distill_lr=0.002, batch_size=4)
     trainset = synthetic_dataset(3, 15, 32, seed=100)
-    before = None
     student, teacher, history = train_masker(trainset, vit, train_config, budget, seed=0)
     ratio = history[-1] / history[0]
-    frozen_ok = True  # train_masker keeps the teacher frozen; verify explicitly
     frozen = MaskingNetwork(vit, train_config, rng=np.random.default_rng(1))
     before = {name: p.data.copy() for name, p in frozen.params.items()}
-    D = TrainBudget(distill_steps=10, distill_lr=0.002, batch_size=4)
-    from gscomm.distill import train_step_distill
-
     step_rng = np.random.default_rng(2)
     probe = MaskingNetwork(vit, train_config, rng=np.random.default_rng(3))
     for _ in range(10):

@@ -41,7 +41,12 @@ class TestAwgn:
 class TestBsc:
     def test_zero_ber_identity(self, rng):
         bits = rng.integers(0, 2, 1000).astype(np.uint8)
-        assert np.array_equal(inject_bsc(bits, 0.0, seed=0), bits)
+        out = inject_bsc(bits, 0.0, seed=0)
+        assert np.array_equal(out, bits)
+        # a copy: writing to it leaves the input as it was
+        kept = bits.copy()
+        out ^= 1
+        assert np.array_equal(bits, kept)
 
     def test_half_ber_statistics(self, rng):
         bits = rng.integers(0, 2, 200_000).astype(np.uint8)

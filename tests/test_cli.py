@@ -275,6 +275,16 @@ def test_evaluate_and_sweep(tmp_path, tiny_config):
     assert sweep2.read_bytes() == sweep_csv.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_unknown_fec_rejected(tmp_path, tiny_config, command):
+    cfg = tmp_path / "fec.cfg"
+    cfg.write_text(tiny_config.read_text() + "fec = hamming\n")
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="^unknown fec 'hamming'; choices: identity, repetition3$"):
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_finetune_smoke(tmp_path, tiny_config):
     ckpt = tmp_path / "clf.ckpt"
     main(["finetune", "--config", str(tiny_config), "--out", str(ckpt), "--seed", "2"])

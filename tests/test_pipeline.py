@@ -6,7 +6,7 @@ import pytest
 
 from gscomm.channel import CODECS, ChannelConfig
 from gscomm.checkpoint import load_params, save_params
-from gscomm.classifier import ClassifierModel
+from gscomm.classifier import ClassifierModel, classify
 from gscomm.datasets import (
     STL10_IMAGE_BYTES,
     load_stl10_binary,
@@ -17,18 +17,22 @@ from gscomm.datasets import (
 )
 from gscomm.distill import DistillConfig, MaskingNetwork
 from gscomm.errors import DatasetFormatError, UndefinedMetricError
+from gscomm.framing import parse_frame
 from gscomm.masking import SemanticMask, apply_mask
 from gscomm.metrics import masked_psnr
 from gscomm.pipeline import (
     PipelineModels,
     RefineParams,
+    ReportRow,
     TrainBudget,
+    receive,
     report,
     report_csv,
     run_end_to_end,
     sweep,
+    transmit,
 )
-from gscomm.ssae import SSAE, SSAEConfig
+from gscomm.ssae import SSAE, QuantizedLatent, SSAEConfig
 from gscomm.vit import ViTConfig
 
 
@@ -275,7 +279,7 @@ class TestRunEndToEnd:
         image = rng.random((3, 32, 32))
         channel = ChannelConfig(mode="bsc_ber", ber=0.0, seed=0)
         refine = RefineParams()
-        recon, pred, row = run_end_to_end(image, small_models, refine, channel, seed=5)
+        recon, pred, row = run_end_to_end(image, small_models, refine, channel, label=1, seed=5)
         assert row.failure == ""
         assert row.measured_ber == 0.0
         assert pred is not None and pred.probs.shape == (2,)
@@ -291,6 +295,34 @@ class TestRunEndToEnd:
                                refine.palette_size, refine.run_bits, seed=5)
         expected = apply_refinement(local, plan)
         assert np.array_equal(recon, expected)
+
+        # and bit for bit what transmit, then receive without a hint, give
+        frame, mask = transmit(image, small_models, refine, seed=5)
+        want = receive(frame, small_models.ssae)
+        want_pred = classify(want, small_models.classifier)
+        assert recon.tobytes() == want.tobytes()
+        assert pred.probs.tobytes() == want_pred.probs.tobytes()
+        assert row == ReportRow(8 * len(frame), 0.0, masked_psnr(image, want, mask),
+                                float(want_pred.label == 1), float(mask.mask.mean()))
+
+    def test_receive_reuses_the_hint_only_for_an_intact_latent(self, small_models, rng):
+        ssae = small_models.ssae
+        frame, _ = transmit(rng.random((3, 32, 32)), small_models, RefineParams(), seed=2)
+        quantized = parse_frame(frame)[0]
+        want = receive(frame, ssae).tobytes()
+        assert receive(frame, ssae, (quantized, ssae.decode(quantized))).tobytes() == want
+
+        # a stand-in decode shows which path receive took
+        stand_in = np.full_like(ssae.decode(quantized), 0.25)
+        assert receive(frame, ssae, (quantized, stand_in)).tobytes() != want
+        one_level = quantized.levels.copy()
+        one_level.flat[0] ^= 1
+        for hint in (
+            QuantizedLatent(one_level, quantized.bits),
+            QuantizedLatent(quantized.levels, quantized.bits + 1),
+            QuantizedLatent(quantized.levels.reshape(-1), quantized.bits),
+        ):
+            assert receive(frame, ssae, (hint, stand_in)).tobytes() == want
 
     def test_deterministic(self, small_models, rng):
         image = rng.random((3, 32, 32))

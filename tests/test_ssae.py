@@ -381,14 +381,28 @@ class TestKmeans:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_loop_reference(self, rng, order):
-        for trial in range(60):
-            pixels = np.asarray(_pixel_set(rng, int(rng.integers(1, 400)), trial % 3), order=order)
-            f = int(rng.integers(2, 17))
+        cases = [
+            (_pixel_set(rng, int(rng.integers(1, 400)), trial % 3), int(rng.integers(2, 17)))
+            for trial in range(60)
+        ]
+        # boundaries of the <= F distinct-colour shortcut: exactly F and F + 1
+        # colours, each repeated, with 0.0 beside -0.0 (one colour) in channel 1
+        for f in (2, 5, 16):
+            for distinct in (f, f + 1):
+                colors = rng.random((distinct, 3))
+                colors[0, 1] = 0.0
+                pixels = colors[rng.permutation(np.arange(120) % distinct)]
+                pixels[np.flatnonzero(pixels[:, 1] == 0.0)[::2], 1] = -0.0
+                cases.append((pixels, f))
+        for trial, (pixels, f) in enumerate(cases):
+            pixels = np.asarray(pixels, order=order)
             got = kmeans_palette(pixels, f, trial, return_inertia=True)
             want = _kmeans_reference(pixels, f, trial, return_inertia=True)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
+            centers, assign = kmeans_palette(pixels, f, trial)
+            assert np.array_equal(centers, want[0]) and np.array_equal(assign, want[1])
 
     def test_empty_cluster_reseed_matches_reference(self):
         # found by search: cluster 1 loses every member and is re-seeded
