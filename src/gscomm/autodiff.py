@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Parameter",
-    "affine",
     "conv2d",
     "maxpool2",
     "upsample_nearest2",
@@ -279,19 +278,6 @@ def matmul(a, b):
 
     out._backward = bwd
     return out
-
-
-def affine(x, weight, bias):
-    """x[..., n, C_in] @ weight[C_in, C_out] + bias[C_out]."""
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    c_in, c_out = weight.data.shape
-    if x.data.shape[-1] != c_in:
-        raise ValueError(
-            f"affine inner extent mismatch: input {x.data.shape} vs weight {weight.data.shape}"
-        )
-    if bias.data.shape != (c_out,):
-        raise ValueError("affine bias shape must be (C_out,)")
-    return matmul(x, weight) + bias
 
 
 def conv2d(x, kernel, stride=1, padding=0):

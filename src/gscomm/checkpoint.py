@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter
 from .errors import DatasetFormatError
 
 
@@ -57,8 +56,3 @@ def load_params(path, params):
         raise DatasetFormatError("trailing bytes after the last tensor", offset * 4)
     for name, value in values.items():
         params[name].value.data = value
-
-
-def clone_params(params):
-    """Learnable copies of a dict name -> Parameter."""
-    return {name: Parameter(p.value.data.copy()) for name, p in params.items()}

@@ -9,7 +9,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, _clamp_min
-from .checkpoint import clone_params
 from .vit import init_vit_params, vit_forward
 
 
@@ -44,9 +43,9 @@ class ClassifierModel:
         if backbone_params is None:
             self.params = init_vit_params(vit_config, rng)
         else:
-            # e.g. the distilled student checkpoint; head params are dropped
-            backbone = {k: v for k, v in backbone_params.items() if not k.startswith("head.")}
-            self.params = clone_params(backbone)
+            # learnable copies of e.g. the distilled student's backbone, without its head
+            self.params = {k: Parameter(v.value.data.copy()) for k, v in backbone_params.items()
+                           if not k.startswith("head.")}
         c = vit_config.dim
         self.params["cls_head.w"] = Parameter(rng.normal(0, 0.02, (c, num_classes)))
         self.params["cls_head.b"] = Parameter(np.zeros(num_classes))
@@ -55,9 +54,8 @@ class ClassifierModel:
         """[..., C'] logits of [..., 3, H, W] images; each CLS token is its own
         1-row product, so a batch rounds as one image at a time."""
         tokens, _ = vit_forward(image, self.vit_config, self.params)
-        logits = ad.affine(
-            tokens[..., :1, :], self.params["cls_head.w"].value, self.params["cls_head.b"].value
-        )
+        w, b = self.params["cls_head.w"].value, self.params["cls_head.b"].value
+        logits = tokens[..., :1, :] @ w + b
         return logits.reshape(*tokens.shape[:-2], self.num_classes)
 
 

@@ -55,22 +55,35 @@ def parse_config(path):
     return cfg
 
 
+def _parse(key, text, kind):
+    """A config value as a `kind`; one that does not parse raises ValueError naming its key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"config key {key} = {text!r} is not a valid {kind.__name__}") from None
+
+
+def _get(cfg, key, default):
+    """Key `key` parsed with the type of `default`, which a missing key keeps."""
+    return _parse(key, cfg[key], type(default)) if key in cfg else default
+
+
 def read_config(cls, cfg):
     """Build dataclass `cls` from a parsed config: each field is a key, parsed with
     the type of the field's default, and a missing key keeps the default."""
-    return cls(**{f.name: type(f.default)(cfg[f.name]) for f in fields(cls) if f.name in cfg})
+    return cls(**{f.name: _get(cfg, f.name, f.default) for f in fields(cls)})
 
 
 def _count(cfg, key, default):
     """An integer key that counts something, so must be at least 1."""
-    value = int(cfg.get(key, default))
+    value = _get(cfg, key, default)
     if value < 1:
         raise ValueError(f"{key} must be at least 1, got {value}")
     return value
 
 
 def _dataset(cfg, seed):
-    img_h, img_w = int(cfg.get("img_h", ViTConfig.img_h)), int(cfg.get("img_w", ViTConfig.img_w))
+    img_h, img_w = _get(cfg, "img_h", ViTConfig.img_h), _get(cfg, "img_w", ViTConfig.img_w)
     if img_w != img_h:
         raise ValueError(f"img_w = {img_w} differs from img_h = {img_h}: "
                          "both dataset sources give square images")
@@ -80,6 +93,8 @@ def _dataset(cfg, seed):
             _count(cfg, "num_classes", 4), _count(cfg, "images_per_class", 25), img_h, seed
         )
     if source == "stl10_binary":
+        if "dataset_path" not in cfg:
+            raise ValueError("dataset = stl10_binary needs the key dataset_path")
         images = load_stl10_binary(cfg["dataset_path"], limit=_count(cfg, "limit", 16))
         return [SyntheticExample(image=im, label=0, fg_mask=np.ones(im.shape[1:])) for im in images]
     raise ValueError(f"unknown dataset source {source!r}")
@@ -138,7 +153,7 @@ def cmd_train_ssae(args):
 
 def cmd_finetune(args):
     cfg = parse_config(args.config)
-    frac = float(cfg.get("labeled_fraction", 0.1))
+    frac = _get(cfg, "labeled_fraction", 0.1)
     if not 0 < frac <= 1:
         raise ValueError("labeled_fraction must lie in (0, 1]")
     data = _dataset(cfg, args.seed)
@@ -151,7 +166,7 @@ def cmd_finetune(args):
     if "mae_ckpt" in cfg:
         backbone = _load_masker(cfg, args.seed).params
     model, losses = train_classifier_on(
-        pairs, read_config(ViTConfig, cfg), int(cfg.get("num_classes", 4)), budget, args.seed,
+        pairs, read_config(ViTConfig, cfg), _count(cfg, "num_classes", 4), budget, args.seed,
         backbone_params=backbone,
     )
     _finish(args, lambda path: save_params(path, model.params), losses, budget.finetune_lr)
@@ -201,7 +216,7 @@ def _models(cfg, seed):
     clf = None
     if "classifier_ckpt" in cfg:
         clf = ClassifierModel(
-            read_config(ViTConfig, cfg), int(cfg.get("num_classes", 4)),
+            read_config(ViTConfig, cfg), _count(cfg, "num_classes", 4),
             rng=np.random.default_rng(seed),
         )
         load_params(cfg["classifier_ckpt"], clf.params)
@@ -214,7 +229,7 @@ def _examples(cfg, seed):
 
 def cmd_evaluate(args):
     cfg = parse_config(args.config)
-    channel = ChannelConfig(mode="bsc_ber", ber=float(cfg.get("ber", 0.0)), seed=0)
+    channel = ChannelConfig(mode="bsc_ber", ber=_get(cfg, "ber", 0.0), seed=0)
     rows = report(
         _examples(cfg, args.seed), _models(cfg, args.seed), read_config(RefineParams, cfg),
         channel, base_seed=args.seed,
@@ -226,10 +241,10 @@ def cmd_evaluate(args):
 
 def cmd_sweep(args):
     cfg = parse_config(args.config)
-    grid = [float(v) for v in cfg.get("grid", "0,0.001,0.01,0.1").split(",")]
+    grid = [_parse("grid", v, float) for v in cfg.get("grid", "0,0.001,0.01,0.1").split(",")]
     _, csv = sweep(
         _examples(cfg, args.seed), grid, _models(cfg, args.seed), read_config(RefineParams, cfg),
-        replicates=int(cfg.get("replicates", 1)), base_seed=args.seed,
+        replicates=_get(cfg, "replicates", 1), base_seed=args.seed,
         mode=cfg.get("grid_mode", "bsc_ber"),
     )
     with open(args.out, "w") as fh:

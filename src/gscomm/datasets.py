@@ -89,15 +89,9 @@ def load_stl10_binary(path, limit=None):
     count = len(blob) // STL10_IMAGE_BYTES
     if limit is not None:
         count = min(count, limit)
-    images = []
-    for i in range(count):
-        rec = np.frombuffer(
-            blob, dtype=np.uint8, count=STL10_IMAGE_BYTES, offset=i * STL10_IMAGE_BYTES
-        )
-        # within each channel the 96x96 plane is stored column-major
-        planes = rec.reshape(3, 96, 96).transpose(0, 2, 1)
-        images.append(planes.astype(np.float64) / 255.0)
-    return images
+    records = np.frombuffer(blob, dtype=np.uint8, count=count * STL10_IMAGE_BYTES)
+    # within each channel the 96x96 plane is stored column-major
+    return list(records.reshape(count, 3, 96, 96).transpose(0, 1, 3, 2) / 255.0)
 
 
 def _read_token(blob, pos):
@@ -124,10 +118,15 @@ def read_ppm(path):
     token, pos = _read_token(blob, 0)
     if token != b"P6":
         raise DatasetFormatError(f"not a P6 PPM (magic {token!r})", offset=0)
-    w_tok, pos = _read_token(blob, pos)
-    h_tok, pos = _read_token(blob, pos)
-    max_tok, pos = _read_token(blob, pos)
-    w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
+    fields = []
+    for what in ("width", "height", "maxval"):
+        token, pos = _read_token(blob, pos)
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise DatasetFormatError(f"PPM {what} {token!r} is not an integer",
+                                     offset=pos - len(token)) from None
+    w, h, maxval = fields
     if w < 1 or h < 1:
         raise DatasetFormatError(f"PPM extents {w}x{h} must be at least 1x1", offset=pos)
     if maxval != 255:

@@ -79,16 +79,13 @@ class MaskingNetwork:
         self.params = init_vit_params(vit_config, rng)
         self.params.update(init_head_params(vit_config, distill_config, rng))
 
-    def forward(self, image):
-        return vit_forward(image, self.vit_config, self.params)
-
     def project(self, image):
-        tokens, _ = self.forward(image)
+        tokens, _ = vit_forward(image, self.vit_config, self.params)
         return project_head(tokens[..., 0, :], self.params, self.distill_config.epsilon)
 
     def semantic_mask(self, image, rho=None):
         """The mask at binarization threshold `rho`, by default the config's."""
-        _, attention = self.forward(image)
+        _, attention = vit_forward(image, self.vit_config, self.params)
         maps = cls_attention_maps(attention, self.vit_config)
         return build_semantic_mask(
             maps,
@@ -106,8 +103,9 @@ def project_head(cls_token, params, epsilon):
         raise ValueError("epsilon must be positive")
     *lead, c = cls_token.shape
     rows = cls_token.reshape(*lead, 1, c)
-    h = ad.relu(ad.affine(rows, params["head.w1"].value, params["head.b1"].value))
-    logits = ad.affine(h, params["head.w2"].value, params["head.b2"].value)
+    # `rows` may be an array, whose `@` would not defer to the weight Tensor
+    h = ad.relu(ad.matmul(rows, params["head.w1"].value) + params["head.b1"].value)
+    logits = h @ params["head.w2"].value + params["head.b2"].value
     logits = logits.reshape(*lead, logits.shape[-1])
     q = ad.softmax(logits, temperature=epsilon)
     return ProjectionOutput(logits=logits, q=q)

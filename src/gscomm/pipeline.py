@@ -41,26 +41,22 @@ class PipelineModels:
     masker: MaskingNetwork
     ssae: SSAE
     classifier: ClassifierModel = None
-    fec: object = None
-
-    def __post_init__(self):
-        if self.fec is None:
-            self.fec = CODECS["identity"]
+    fec: object = CODECS["identity"]
 
 
 def _transmit(image, models, refine, seed):
-    """`transmit`, also returning the transmitter's (QuantizedLatent, decode)."""
+    """`transmit`, also returning the transmitter's decode and refinement plan."""
     image = np.asarray(image, dtype=np.float64)
     mask = models.masker.semantic_mask(image)
     masked = apply_mask(image, mask)
     _, quantized = models.ssae.encode_quantize(masked)
-    local = quantized, models.ssae.decode(quantized)
+    decoded = models.ssae.decode(quantized)
     plan = plan_refinement(
-        masked, local[1], mask, refine.psi, refine.eta,
+        masked, decoded, mask, refine.psi, refine.eta,
         refine.palette_size, refine.run_bits, seed=seed,
     )
     dims = (image.shape[1], image.shape[2], models.masker.vit_config.patch_size)
-    return serialize_frame(quantized, plan, models.ssae.config, dims), mask, local
+    return serialize_frame(quantized, plan, models.ssae.config, dims), mask, decoded, plan
 
 
 def transmit(image, models, refine, seed=0):
@@ -68,35 +64,28 @@ def transmit(image, models, refine, seed=0):
     return _transmit(image, models, refine, seed)[:2]
 
 
-def receive(frame, ssae, hint=None):
+def receive(frame, ssae):
     """Receiver half: parse, decode, refine. Rejects with CorruptFrameError or
-    UnsupportedFormatError.
-
-    `hint` is an optional (QuantizedLatent, decode) pair from the transmitter.
-    When the parsed latent has the hint's N and levels, the hint's decode is
-    used in place of decoding again; both give the same bytes.
-    """
+    UnsupportedFormatError."""
     quantized, plan, _ = parse_frame(frame)
-    if (hint is not None and quantized.bits == hint[0].bits
-            and np.array_equal(quantized.levels, hint[0].levels)):
-        recon = hint[1]
-    else:
-        recon = ssae.decode(quantized)
-    return apply_refinement(recon, plan)
+    return apply_refinement(ssae.decode(quantized), plan)
 
 
 def run_end_to_end(image, models, refine, channel, label=None, seed=0):
     """One image through the full chain; returns (reconstruction, prediction, row)."""
-    frame, mask, local = _transmit(image, models, refine, seed)
+    frame, mask, decoded, plan = _transmit(image, models, refine, seed)
     payload_bits = 8 * len(frame)
 
     sent = bytes_to_bits(frame)
-    decoded = replace(channel, seed=seed ^ channel.seed).send(sent, models.fec)
-    ber = measure_ber(sent, decoded)
+    bits = replace(channel, seed=seed ^ channel.seed).send(sent, models.fec)
+    ber = measure_ber(sent, bits)
+    received = bits_to_bytes(bits)[: len(frame)]
 
     fraction = float(mask.mask.mean())
     try:
-        recon = receive(bits_to_bytes(decoded)[: len(frame)], models.ssae, local)
+        # parse_frame inverts serialize_frame, so an intact frame needs no parse or decode
+        recon = (apply_refinement(decoded, plan) if received == frame
+                 else receive(received, models.ssae))
     except (CorruptFrameError, UnsupportedFormatError) as exc:
         row = ReportRow(payload_bits, ber, math.nan, math.nan, fraction, failure=str(exc))
         return None, None, row

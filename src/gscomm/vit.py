@@ -125,10 +125,6 @@ def vit_forward(image, config, params):
         merged = (s @ v).swapaxes(-3, -2).reshape(*lead, t + 1, c)
         x = x + merged @ params[b + "wo"].value
         h2 = ad.layernorm(x)
-        mlp = ad.affine(
-            ad.relu(ad.affine(h2, params[b + "mlp1.w"].value, params[b + "mlp1.b"].value)),
-            params[b + "mlp2.w"].value,
-            params[b + "mlp2.b"].value,
-        )
-        x = x + mlp
+        hidden = ad.relu(h2 @ params[b + "mlp1.w"].value + params[b + "mlp1.b"].value)
+        x = x + (hidden @ params[b + "mlp2.w"].value + params[b + "mlp2.b"].value)
     return x, s.data

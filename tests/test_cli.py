@@ -254,6 +254,30 @@ def test_stl10_limit_below_one_rejected(tmp_path):
         main(["train-ssae", "--config", str(cfg), "--out", str(tmp_path / "ssae.ckpt")])
 
 
+def test_stl10_without_dataset_path_rejected(tmp_path):
+    cfg = tmp_path / "stl.cfg"
+    cfg.write_text("dataset = stl10_binary\nimg_h = 96\nimg_w = 96\n")
+    ckpt = tmp_path / "ssae.ckpt"
+    with pytest.raises(ValueError, match="^dataset = stl10_binary needs the key dataset_path$"):
+        main(["train-ssae", "--config", str(cfg), "--out", str(ckpt)])
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("train-mae", "dim = 32.5", "config key dim = '32.5' is not a valid int"),
+    ("train-mae", "dim =", "config key dim = '' is not a valid int"),
+    ("evaluate", "ber = high", "config key ber = 'high' is not a valid float"),
+    ("sweep", "grid = 0,x", "config key grid = 'x' is not a valid float"),
+])
+def test_unparsable_value_names_its_key(tmp_path, tiny_config, command, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(tiny_config.read_text() + line + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_evaluate_and_sweep(tmp_path, tiny_config):
     cfg = tmp_path / "eval.cfg"
     cfg.write_text(tiny_config.read_text() + "ber = 0\ngrid = 0,0.01\n")

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from gscomm.pipeline import (
     sweep,
     transmit,
 )
-from gscomm.ssae import SSAE, QuantizedLatent, SSAEConfig
+from gscomm.ssae import SSAE, SSAEConfig
 from gscomm.vit import ViTConfig
 
 
@@ -80,6 +82,19 @@ class TestStl10Binary:
         plane = raw[:9216].reshape(96, 96)  # (col, row)
         assert np.allclose(images[0][0], plane.T / 255.0)
 
+    def test_equals_a_record_by_record_read(self, tmp_path):
+        raw = np.random.default_rng(1).integers(0, 256, size=3 * STL10_IMAGE_BYTES,
+                                                dtype=np.uint8)
+        p = tmp_path / "imgs.bin"
+        p.write_bytes(raw.tobytes())
+        for limit in (None, 2):
+            images = load_stl10_binary(p, limit=limit)
+            assert len(images) == (limit or 3)
+            for i, image in enumerate(images):
+                record = raw[i * STL10_IMAGE_BYTES : (i + 1) * STL10_IMAGE_BYTES]
+                want = record.reshape(3, 96, 96).transpose(0, 2, 1).astype(np.float64) / 255.0
+                assert image.tobytes() == want.tobytes()
+
     def test_trailing_bytes_error(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"\x00" * (STL10_IMAGE_BYTES + 5))
@@ -122,6 +137,19 @@ class TestPpm:
         p.write_bytes(b"P6\n" + b"# comment\n" * 3000 + b"2 1\n255\n" + bytes(range(6)))
         image = read_ppm(p)
         assert np.array_equal(image[:, 0, 1] * 255.0, [3.0, 4.0, 5.0])
+
+    @pytest.mark.parametrize("header, what, offset", [
+        (b"P6\nx 2\n255\n", "width b'x'", 3),
+        (b"P6\n2 2.5\n255\n", "height b'2.5'", 5),
+        (b"P6\n2 2\nabc\n", "maxval b'abc'", 7),
+    ])
+    def test_non_numeric_header_token(self, tmp_path, header, what, offset):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(header + bytes(12))
+        message = re.escape(f"PPM {what} is not an integer")
+        with pytest.raises(DatasetFormatError, match=message) as exc:
+            read_ppm(p)
+        assert exc.value.offset == offset
 
     @pytest.mark.parametrize("extents", [b"0 4", b"4 0", b"-2 4", b"4 -1"])
     def test_empty_or_negative_extents(self, tmp_path, extents):
@@ -264,6 +292,18 @@ class TestCheckpoint:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class FlipBit(ChannelConfig):
+    """A channel that flips one fixed bit position whatever the seed."""
+
+    bit: int = 0
+
+    def apply(self, bits):
+        out = np.asarray(bits, dtype=np.uint8).copy()
+        out[self.bit] ^= 1
+        return out
+
+
 @pytest.fixture(scope="module")
 def small_models():
     vit = ViTConfig(patch_size=8, dim=16, blocks=1, heads=2, img_h=32, img_w=32)
@@ -296,7 +336,7 @@ class TestRunEndToEnd:
         expected = apply_refinement(local, plan)
         assert np.array_equal(recon, expected)
 
-        # and bit for bit what transmit, then receive without a hint, give
+        # and bit for bit what transmit, then receive give
         frame, mask = transmit(image, small_models, refine, seed=5)
         want = receive(frame, small_models.ssae)
         want_pred = classify(want, small_models.classifier)
@@ -305,24 +345,37 @@ class TestRunEndToEnd:
         assert row == ReportRow(8 * len(frame), 0.0, masked_psnr(image, want, mask),
                                 float(want_pred.label == 1), float(mask.mask.mean()))
 
-    def test_receive_reuses_the_hint_only_for_an_intact_latent(self, small_models, rng):
-        ssae = small_models.ssae
-        frame, _ = transmit(rng.random((3, 32, 32)), small_models, RefineParams(), seed=2)
-        quantized = parse_frame(frame)[0]
-        want = receive(frame, ssae).tobytes()
-        assert receive(frame, ssae, (quantized, ssae.decode(quantized))).tobytes() == want
+    def test_intact_frame_skips_the_receiver(self, small_models, rng, monkeypatch):
+        image = rng.random((3, 32, 32))
+        refine = RefineParams(psi=0.0, eta=1.0)
+        frame, mask = transmit(image, small_models, refine, seed=4)
 
-        # a stand-in decode shows which path receive took
-        stand_in = np.full_like(ssae.decode(quantized), 0.25)
-        assert receive(frame, ssae, (quantized, stand_in)).tobytes() != want
-        one_level = quantized.levels.copy()
-        one_level.flat[0] ^= 1
-        for hint in (
-            QuantizedLatent(one_level, quantized.bits),
-            QuantizedLatent(quantized.levels, quantized.bits + 1),
-            QuantizedLatent(quantized.levels.reshape(-1), quantized.bits),
-        ):
-            assert receive(frame, ssae, (hint, stand_in)).tobytes() == want
+        def expected_row(recon, ber):
+            pred = classify(recon, small_models.classifier)
+            return ReportRow(8 * len(frame), ber, masked_psnr(image, recon, mask),
+                             float(pred.label == 1), float(mask.mask.mean()))
+
+        # at BER 0 the frame arrives byte for byte, and the receiver is not called
+        want = receive(frame, small_models.ssae)
+        with monkeypatch.context() as m:
+            m.setattr("gscomm.pipeline.receive", lambda *a: pytest.fail("receive called"))
+            recon, _, row = run_end_to_end(image, small_models, refine, ChannelConfig(),
+                                           label=1, seed=4)
+        assert recon.tobytes() == want.tobytes()
+        assert row == expected_row(want, 0.0)
+
+        # a flipped bit in the first palette byte: the receiver parses the damaged bytes
+        plan = parse_frame(frame)[1]
+        assert plan.t_prime > 0
+        at = len(frame) - 2 - (plan.rle_bits.size + 7) // 8 - 3 * plan.palette_size
+        damaged = bytearray(frame)
+        damaged[at] ^= 0x80
+        recon, _, row = run_end_to_end(image, small_models, refine, FlipBit(bit=8 * at),
+                                       label=1, seed=4)
+        damaged_recon = receive(bytes(damaged), small_models.ssae)
+        assert damaged_recon.tobytes() != want.tobytes()
+        assert recon.tobytes() == damaged_recon.tobytes()
+        assert row == expected_row(damaged_recon, 1 / (8 * len(frame)))
 
     def test_deterministic(self, small_models, rng):
         image = rng.random((3, 32, 32))
