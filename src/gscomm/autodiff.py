@@ -3,6 +3,11 @@
 Tensors wrap float64 numpy arrays and record a computation graph; calling
 ``backward()`` on a scalar propagates gradients to every reachable leaf
 whose ``requires_grad`` flag is set. Single-threaded per graph.
+
+Leading axes are batch axes: the spatial ops work on the last three (C, H, W),
+so one image and a batch take the same path. The batched trainers build one
+graph per step, bit-identical to one graph per image; the tests keep the
+per-image trainers as references for that.
 """
 
 from __future__ import annotations
@@ -188,7 +193,8 @@ class Tensor:
 
     def mean(self):
         """The mean of the items added in index order, x0 + x1 + ...: so a batched loss
-        equals its per-item losses added one by one, which np.sum's pairwise order does not."""
+        equals its per-item losses added one by one, which np.sum's pairwise order does
+        not from eight items on."""
         scale = 1.0 / self.data.size
         out = Tensor(np.add.accumulate(self.data.reshape(-1))[-1] * scale, (self,))
 
@@ -281,7 +287,11 @@ def matmul(a, b):
 
 
 def conv2d(x, kernel, stride=1, padding=0):
-    """2-D convolution (cross-correlation). x: [C,H,W] or [B,C,H,W]; kernel: [C_out,C_in,k,k]."""
+    """2-D convolution (cross-correlation). x: [C,H,W] or [B,C,H,W]; kernel: [C_out,C_in,k,k].
+
+    The forward pass is one matmul over the k² spans stacked as rows. The backward
+    pass goes one tap at a time and never builds a [B, C_in·k², H·W] column matrix;
+    every stride and padding take the same path."""
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim not in (3, 4) or kernel.data.ndim != 4:
         raise ValueError("conv2d expects [B,C,H,W] input and [C_out,C_in,k,k] kernel")

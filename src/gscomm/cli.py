@@ -83,7 +83,7 @@ def _count(cfg, key, default):
 
 
 def _dataset(cfg, seed):
-    img_h, img_w = _get(cfg, "img_h", ViTConfig.img_h), _get(cfg, "img_w", ViTConfig.img_w)
+    img_h, img_w = _count(cfg, "img_h", ViTConfig.img_h), _count(cfg, "img_w", ViTConfig.img_w)
     if img_w != img_h:
         raise ValueError(f"img_w = {img_w} differs from img_h = {img_h}: "
                          "both dataset sources give square images")
@@ -286,8 +286,9 @@ def main(argv=None):
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ber", type=float, default=0.0)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--ber", type=float, default=0.0)
+    noise.add_argument("--snr-db", dest="snr_db", type=float, default=None)
     p.add_argument("--fec", choices=sorted(CODECS), default="identity")
     p.set_defaults(func=cmd_transmit)
 

@@ -53,7 +53,8 @@ def serialize_frame(quantized, plan, config, dims):
     """Pack (quantized latent, refinement plan) into a frame byte string.
 
     Raises ValueError, naming the field, for any header field or RLE bit count
-    that its u8/u16 slot cannot hold.
+    that its u8/u16 slot cannot hold, and for a P that `parse_frame` would reject
+    or that differs from the plan's.
     """
     img_h, img_w, patch_size = dims
     geometry = (config.latent_channels, config.downs, config.bits)

@@ -54,10 +54,7 @@ def apply_mask(image, mask):
 
 def write_pbm(path, mask2d):
     """Export a binary mask as plain-text PBM (P1)."""
-    mask2d = np.asarray(mask2d)
-    h, w = mask2d.shape
-    lines = [f"P1\n{w} {h}\n"]
-    for row in mask2d:
-        lines.append(" ".join("1" if v > 0.5 else "0" for v in row) + "\n")
+    bits = np.where(np.asarray(mask2d) > 0.5, "1", "0")
+    h, w = bits.shape
     with open(path, "w") as fh:
-        fh.writelines(lines)
+        fh.write(f"P1\n{w} {h}\n" + "".join(" ".join(row) + "\n" for row in bits))

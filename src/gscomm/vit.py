@@ -102,8 +102,8 @@ def vit_forward(image, config, params):
         )
     c, t, p = config.dim, config.num_patches, config.patch_size
 
-    # the patch embedding is a stride-P conv with a PxP kernel: one matmul over the
-    # raster-order patch vectors
+    # the patch embedding is a stride-P conv with a PxP kernel, run as one matmul over
+    # the raster-order patch vectors: no model runs conv2d at a stride above 1
     kernel = params["patch_embed.kernel"].value.reshape(c, 3 * p * p)
     patch_tokens = patchify(image, p) @ kernel.T + params["patch_embed.bias"].value
     patch_tokens = patch_tokens + params["pos_embed"].value

@@ -14,6 +14,8 @@ from gscomm.pipeline import RefineParams, TrainBudget, receive, run_end_to_end, 
 from gscomm.ssae import SSAEConfig
 from gscomm.vit import ViTConfig
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 @pytest.fixture
 def tiny_config(tmp_path):
@@ -94,9 +96,8 @@ def test_documented_keys_are_the_dataclass_fields():
 def _readme_key_table():
     """README's CLI key table as {key: its documented default, or None when a row
     does not give one default per key}."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = {}
-    for line in readme.split("| key | default | meaning |\n", 1)[1].splitlines()[1:]:
+    for line in README.read_text().split("| key | default | meaning |\n", 1)[1].splitlines()[1:]:
         if not line.startswith("|"):
             break
         keys_cell, default_cell = line.split("|")[1:3]
@@ -113,6 +114,19 @@ def test_readme_key_table_lists_every_field(cls):
         assert f.name in table, f"README's key table lacks {f.name}"
         assert table[f.name] is not None, f"README's key table gives no default for {f.name}"
         assert type(f.default)(table[f.name]) == f.default, f.name
+
+
+def test_readme_cli_block_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    registered = set(re.search(r"\{([\w,-]+)\}", capsys.readouterr().out)[1].split(","))
+    cli_block = README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^gscomm ([\w-]+)", cli_block, re.M)) == registered
+
+
+def test_readme_holds_one_python_example():
+    # CI concatenates every python block of the README and runs the result
+    assert README.read_text().splitlines().count("```python") == 1
 
 
 def test_train_ssae_and_codec_roundtrip(tmp_path, tiny_config, capsys):
@@ -146,6 +160,17 @@ def test_train_ssae_and_codec_roundtrip(tmp_path, tiny_config, capsys):
 
     out = capsys.readouterr().out
     assert "wrote" in out
+
+
+def test_transmit_rejects_ber_with_snr_db(tmp_path, capsys):
+    frame = tmp_path / "x.gscf"
+    frame.write_bytes(b"GSCF")
+    out = tmp_path / "rx.gscf"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["transmit", "--in", str(frame), "--out", str(out), "--ber", "0.2", "--snr-db", "40"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_mae_writes_log(tmp_path, tiny_config):
@@ -233,7 +258,7 @@ def test_train_ssae_rejects_non_square_extents(tmp_path, tiny_config):
     assert not ckpt.exists()
 
 
-@pytest.mark.parametrize("key", ["images_per_class", "num_classes"])
+@pytest.mark.parametrize("key", ["images_per_class", "num_classes", "img_h", "img_w"])
 @pytest.mark.parametrize("command", ["train-mae", "train-ssae", "finetune"])
 def test_trainers_reject_empty_synthetic_data_set(tmp_path, tiny_config, command, key):
     cfg = tmp_path / "empty.cfg"

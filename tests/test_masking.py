@@ -130,3 +130,4 @@ class TestExports:
         text = pbm.read_text().splitlines()
         assert text[0] == "P1"
         assert text[1] == "4 4"
+        assert [[int(v) for v in row.split()] for row in text[2:]] == mask.astype(int).tolist()
