@@ -508,3 +508,25 @@ class TestReductions:
         x = rng.standard_normal((2, 3, 4))
         w = rng.random((2, 3))
         check_gradients(lambda a: ((a * a).sum(axis=-1) * Tensor(w)).sum(), [x])
+
+
+# Tensor methods that no other gradient check reaches along these paths:
+# name -> (op, input shape)
+TENSOR_METHOD_CASES = {
+    "neg": (lambda x: -x, (3, 4)),
+    "constant_minus": (lambda x: 2.0 - x, (3, 4)),
+    "swapaxes": (lambda x: x.swapaxes(0, 2), (2, 3, 4)),
+    "repeated_fancy_index": (lambda x: x[[0, 0, 2]], (3, 4)),
+    "sum_over_axis_tuple": (lambda x: x.sum(axis=(0, 2)), (2, 3, 4)),
+    "divide_by_scalar": (lambda x: x / 4.0, (3, 4)),
+}
+
+
+class TestTensorMethodGradients:
+    @pytest.mark.parametrize("op, shape", TENSOR_METHOD_CASES.values(), ids=TENSOR_METHOD_CASES)
+    def test_gradients(self, rng, op, shape):
+        def weighted(a):  # a ramp weight, so that no two entries share a gradient
+            y = op(a)
+            return (y * Tensor(np.linspace(-1.0, 2.0, y.data.size).reshape(y.shape))).sum()
+
+        check_gradients(weighted, [rng.standard_normal(shape)])
