@@ -4,6 +4,11 @@ Tensors wrap float64 numpy arrays and record a computation graph; calling
 ``backward()`` on a scalar propagates gradients to every reachable leaf
 whose ``requires_grad`` flag is set. Single-threaded per graph.
 
+An op is its value plus its local gradient: an op on one tensor hands both to
+``_unary``, which records the node. The ops on several tensors (arithmetic,
+``matmul``, ``conv2d``, ``concat``) write their own backward, which skips every
+parent that needs no gradient.
+
 Leading axes are batch axes: the spatial ops work on the last three (C, H, W),
 so one image and a batch take the same path. The batched trainers build one
 graph per step, bit-identical to one graph per image; the tests keep the
@@ -122,13 +127,7 @@ class Tensor:
         return self.__mul__(other)
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,))
-
-        def bwd(g):
-            self._accumulate(-g)
-
-        out._backward = bwd
-        return out
+        return _unary(self, -self.data, lambda g: -g)
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
@@ -141,25 +140,12 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        src_shape = self.data.shape
-        out = Tensor(self.data.reshape(shape), (self,))
-
-        def bwd(g):
-            self._accumulate(g.reshape(src_shape))
-
-        out._backward = bwd
-        return out
+        return _unary(self, self.data.reshape(shape), lambda g: g.reshape(self.data.shape))
 
     def transpose(self, *axes):
         """Permute the axes (reverse them when none are given), like ndarray.transpose."""
         axes = axes or tuple(reversed(range(self.data.ndim)))
-        out = Tensor(self.data.transpose(axes), (self,))
-
-        def bwd(g):
-            self._accumulate(g.transpose(np.argsort(axes)))
-
-        out._backward = bwd
-        return out
+        return _unary(self, self.data.transpose(axes), lambda g: g.transpose(np.argsort(axes)))
 
     def swapaxes(self, a, b):
         axes = list(range(self.data.ndim))
@@ -171,47 +157,30 @@ class Tensor:
         return self.transpose()
 
     def __getitem__(self, key):
-        out = Tensor(self.data[key], (self,))
-
-        def bwd(g):
+        def grad(g):
             full = np.zeros_like(self.data)
             np.add.at(full, key, g)
-            self._accumulate(full)
+            return full
 
-        out._backward = bwd
-        return out
+        return _unary(self, self.data[key], grad)
 
     def sum(self, axis=None):
-        out = Tensor(self.data.sum(axis=axis), (self,))
-
-        def bwd(g):
+        def grad(g):
             g = g if axis is None else np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
+            return np.broadcast_to(g, self.data.shape)
 
-        out._backward = bwd
-        return out
+        return _unary(self, self.data.sum(axis=axis), grad)
 
     def mean(self):
         """The mean of the items added in index order, x0 + x1 + ...: so a batched loss
         equals its per-item losses added one by one, which np.sum's pairwise order does
         not from eight items on."""
         scale = 1.0 / self.data.size
-        out = Tensor(np.add.accumulate(self.data.reshape(-1))[-1] * scale, (self,))
-
-        def bwd(g):
-            self._accumulate(np.full_like(self.data, g * scale))
-
-        out._backward = bwd
-        return out
+        return _unary(self, np.add.accumulate(self.data.reshape(-1))[-1] * scale,
+                      lambda g: np.full_like(self.data, g * scale))
 
     def log(self):
-        out = Tensor(np.log(self.data), (self,))
-
-        def bwd(g):
-            self._accumulate(g / self.data)
-
-        out._backward = bwd
-        return out
+        return _unary(self, np.log(self.data), lambda g: g / self.data)
 
 
 class Parameter:
@@ -239,6 +208,14 @@ class Parameter:
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _unary(x, data, grad):
+    """The node holding `data`, an op's value on x alone; its backward adds grad(g),
+    the op's local gradient applied to the output gradient g, to x."""
+    out = Tensor(data, (x,))
+    out._backward = lambda g: x._accumulate(grad(g))
+    return out
 
 
 def _unbroadcast(g, shape):
@@ -359,29 +336,22 @@ def maxpool2(x):
     win = x.data.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
     flat = win.reshape(*lead, h // 2, w // 2, 4)
     arg = flat.argmax(axis=-1)  # first occurrence on ties, window row-major
-    out = Tensor(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], (x,))
 
-    def bwd(g):
+    def grad(g):
         gflat = np.zeros_like(flat)
         np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
         gwin = gflat.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(-3, -2)
-        x._accumulate(gwin.reshape(x.data.shape))
+        return gwin.reshape(x.data.shape)
 
-    out._backward = bwd
-    return out
+    return _unary(x, np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], grad)
 
 
 def upsample_nearest2(x):
     """Nearest-neighbour 2x upsampling of the last two axes; gradient sums over replicas."""
     x = _as_tensor(x)
     *lead, h, w = x.data.shape
-    out = Tensor(x.data.repeat(2, axis=-2).repeat(2, axis=-1), (x,))
-
-    def bwd(g):
-        x._accumulate(g.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)))
-
-    out._backward = bwd
-    return out
+    return _unary(x, x.data.repeat(2, axis=-2).repeat(2, axis=-1),
+                  lambda g: g.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)))
 
 
 def relu(x):
@@ -391,23 +361,11 @@ def relu(x):
 def sigmoid(x):
     x = _as_tensor(x)
     y = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(y, (x,))
-
-    def bwd(g):
-        x._accumulate(g * y * (1.0 - y))
-
-    out._backward = bwd
-    return out
+    return _unary(x, y, lambda g: g * y * (1.0 - y))
 
 
 def _clamp_min(t, floor):
-    out = Tensor(np.maximum(t.data, floor), (t,))
-
-    def bwd(g):
-        t._accumulate(g * (t.data > floor))
-
-    out._backward = bwd
-    return out
+    return _unary(t, np.maximum(t.data, floor), lambda g: g * (t.data > floor))
 
 
 def _normalize(x, axes, eps):
@@ -419,15 +377,13 @@ def _normalize(x, axes, eps):
     var = (xc * xc).sum(axis=axes, keepdims=True) / n  # what np.var computes
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat, (x,))
 
-    def bwd(g):
+    def grad(g):
         gsum = g.sum(axis=axes, keepdims=True)
         gxhat = (g * xhat).sum(axis=axes, keepdims=True)
-        x._accumulate(inv * (g - gsum / n - xhat * gxhat / n))
+        return inv * (g - gsum / n - xhat * gxhat / n)
 
-    out._backward = bwd
-    return out, mu, var
+    return _unary(x, xhat, grad), mu, var
 
 
 NORM_EPS = 1e-5  # layernorm's and batchnorm's variance floor
@@ -462,14 +418,12 @@ def softmax(x, temperature=1.0):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, (x,))
 
-    def bwd(g):
+    def grad(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        x._accumulate(y * (g - dot) / temperature)
+        return y * (g - dot) / temperature
 
-    out._backward = bwd
-    return out
+    return _unary(x, y, grad)
 
 
 def concat(tensors, axis=-1):
@@ -492,14 +446,8 @@ def masked_frobenius_norm(residual, mask):
     residual = _as_tensor(residual)
     masked = residual.data * mask
     norm = np.sqrt((masked * masked).sum(axis=(-3, -2, -1)))
-    out = Tensor(norm, (residual,))
     divisor = np.where(norm > 0.0, norm, np.inf)[..., None, None, None]
-
-    def bwd(g):
-        residual._accumulate(g[..., None, None, None] * masked * mask / divisor)
-
-    out._backward = bwd
-    return out
+    return _unary(residual, norm, lambda g: g[..., None, None, None] * masked * mask / divisor)
 
 
 def bilinear_resize(grid, target):
