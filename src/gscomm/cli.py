@@ -82,6 +82,17 @@ def _count(cfg, key, default):
     return value
 
 
+def _seed(text):
+    """A --seed value: an integer from 0 up, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
+
+
 def _dataset(cfg, seed):
     img_h, img_w = _count(cfg, "img_h", ViTConfig.img_h), _count(cfg, "img_w", ViTConfig.img_w)
     if img_w != img_h:
@@ -258,7 +269,7 @@ def main(argv=None):
 
     def common(p):
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", required=True)
 
     for name, func, text in (
@@ -285,7 +296,7 @@ def main(argv=None):
     p = sub.add_parser("transmit", help="pass a frame through the channel")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     noise = p.add_mutually_exclusive_group()
     noise.add_argument("--ber", type=float, default=0.0)
     noise.add_argument("--snr-db", dest="snr_db", type=float, default=None)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_gradients
+from conftest import check_gradients, psnr_oracle
 from gscomm import autodiff as ad
 from gscomm.autodiff import Tensor
 from gscomm.channel import CODECS, inject_bsc, measure_ber, transmit_awgn
@@ -220,19 +220,6 @@ def test_criterion_06_rle_kmeans(capsys):
     _verdict(capsys, 6, "RLE + K-means", ok, f"final inertia {inertia[-1]:.1e}")
 
 
-def _psnr_oracle(original, reconstructed, mask):
-    num, cnt = 0.0, 0
-    _, h, w = original.shape
-    for i in range(h):
-        for j in range(w):
-            if mask[i, j]:
-                cnt += 1
-                for c in range(3):
-                    num += (original[c, i, j] - reconstructed[c, i, j]) ** 2
-    mse = num / (3 * cnt)
-    return math.inf if mse == 0 else 10 * math.log10(1.0 / mse)
-
-
 def test_criterion_07_masked_psnr(capsys):
     """Oracle equivalence, the exact-match limit, and a closed-form spot value."""
     rng = np.random.default_rng(7)
@@ -243,7 +230,7 @@ def test_criterion_07_masked_psnr(capsys):
         if m.sum() == 0:
             m[0, 0] = 1.0
         got = masked_psnr(a, b, m)
-        want = _psnr_oracle(a, b, m)
+        want = psnr_oracle(a, b, m)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     a = rng.random((3, 5, 5))

@@ -338,3 +338,16 @@ def test_finetune_smoke(tmp_path, tiny_config):
     ckpt = tmp_path / "clf.ckpt"
     main(["finetune", "--config", str(tiny_config), "--out", str(ckpt), "--seed", "2"])
     assert ckpt.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "train-mae", "train-ssae", "finetune", "encode", "decode", "transmit", "evaluate", "sweep",
+])
+def test_negative_seed_rejected(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    frame_in = ["--in", str(tmp_path / "in")] if command in ("encode", "decode", "transmit") else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *frame_in, "--out", str(out), "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import psnr_oracle
 from gscomm.channel import CODECS, ChannelConfig
 from gscomm.checkpoint import load_params, save_params
 from gscomm.classifier import ClassifierModel, classify
@@ -162,21 +163,6 @@ class TestPpm:
 # ---------------------------------------------------------------------------
 # masked PSNR
 # ---------------------------------------------------------------------------
-
-
-def psnr_oracle(original, reconstructed, mask):
-    """Brute-force double loop over pixels; peak value 1."""
-    num = 0.0
-    cnt = 0
-    _, h, w = original.shape
-    for i in range(h):
-        for j in range(w):
-            if mask[i, j]:
-                cnt += 1
-                for c in range(3):
-                    num += (original[c, i, j] - reconstructed[c, i, j]) ** 2
-    mse = num / (3 * cnt)
-    return math.inf if mse == 0 else 10 * math.log10(1.0 / mse)
 
 
 class TestMaskedPsnr:
