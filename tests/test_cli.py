@@ -340,14 +340,17 @@ def test_finetune_smoke(tmp_path, tiny_config):
     assert ckpt.exists()
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "must be at least 0, got -1"), ("1.5", "invalid int value: '1.5'"),
+])
 @pytest.mark.parametrize("command", [
     "train-mae", "train-ssae", "finetune", "encode", "decode", "transmit", "evaluate", "sweep",
 ])
-def test_negative_seed_rejected(tmp_path, capsys, command):
+def test_seed_below_zero_or_not_an_integer_rejected(tmp_path, capsys, command, seed, message):
     out = tmp_path / "out"
     frame_in = ["--in", str(tmp_path / "in")] if command in ("encode", "decode", "transmit") else []
     with pytest.raises(SystemExit) as exit_info:
-        main([command, *frame_in, "--out", str(out), "--seed", "-1"])
+        main([command, *frame_in, "--out", str(out), "--seed", seed])
     assert exit_info.value.code == 2
-    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert f"argument --seed: {message}\n" in capsys.readouterr().err
     assert not out.exists()
