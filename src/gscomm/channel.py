@@ -28,8 +28,11 @@ def transmit_awgn(bits, snr_db, seed):
 
     Unit-energy symbols; the complex noise variance is 10^(-snr_db/10), of
     which the in-phase (decision) component carries half, so the expected
-    BER is Q(sqrt(2 * 10^(snr_db/10))).
+    BER is Q(sqrt(2 * 10^(snr_db/10))). An infinite snr_db is a noiseless channel;
+    a NaN one would decide every bit 0, so it raises ValueError.
     """
+    if np.isnan(snr_db):
+        raise ValueError(f"snr_db must be a number, got {snr_db}")
     bits = np.asarray(bits, dtype=np.uint8)
     symbols = 1.0 - 2.0 * bits.astype(np.float64)
     sigma2 = 10.0 ** (-snr_db / 10.0)

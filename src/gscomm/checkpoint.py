@@ -15,12 +15,12 @@ def save_params(path, params):
     """params: dict name -> Parameter."""
     names = list(params)
     manifest = " ".join(
-        f"{name}:{','.join(str(d) for d in params[name].value.data.shape)}" for name in names
+        f"{name}:{','.join(str(d) for d in params[name].data.shape)}" for name in names
     )
     with open(path, "wb") as fh:
         fh.write(manifest.encode("ascii") + b"\n")
         for name in names:
-            fh.write(params[name].value.data.astype("<f4").tobytes())
+            fh.write(params[name].data.astype("<f4").tobytes())
 
 
 def load_params(path, params):
@@ -45,7 +45,7 @@ def load_params(path, params):
             raise DatasetFormatError(f"checkpoint truncated at tensor {name!r}", offset * 4)
         if name not in params:
             raise DatasetFormatError(f"unknown tensor {name!r} in checkpoint")
-        if params[name].value.data.shape != shape:
+        if params[name].data.shape != shape:
             raise DatasetFormatError(f"shape mismatch for tensor {name!r}")
         values[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
         offset += count
@@ -55,4 +55,4 @@ def load_params(path, params):
     if len(blob) != offset * 4:
         raise DatasetFormatError("trailing bytes after the last tensor", offset * 4)
     for name, value in values.items():
-        params[name].value.data = value
+        params[name].data = value

@@ -44,7 +44,7 @@ class ClassifierModel:
             self.params = init_vit_params(vit_config, rng)
         else:
             # learnable copies of e.g. the distilled student's backbone, without its head
-            self.params = {k: Parameter(v.value.data.copy()) for k, v in backbone_params.items()
+            self.params = {k: Parameter(v.data.copy()) for k, v in backbone_params.items()
                            if not k.startswith("head.")}
         c = vit_config.dim
         self.params["cls_head.w"] = Parameter(rng.normal(0, 0.02, (c, num_classes)))
@@ -54,7 +54,7 @@ class ClassifierModel:
         """[..., C'] logits of [..., 3, H, W] images; each CLS token is its own
         1-row product, so a batch rounds as one image at a time."""
         tokens, _ = vit_forward(image, self.vit_config, self.params)
-        w, b = self.params["cls_head.w"].value, self.params["cls_head.b"].value
+        w, b = self.params["cls_head.w"], self.params["cls_head.b"]
         logits = tokens[..., :1, :] @ w + b
         return logits.reshape(*tokens.shape[:-2], self.num_classes)
 

@@ -93,6 +93,21 @@ def _seed(text):
     return seed
 
 
+def _noise_level(valid, rule):
+    """An argparse type for a channel option: a float for which valid(value) holds."""
+
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    return parse
+
+
 def _dataset(cfg, seed):
     img_h, img_w = _count(cfg, "img_h", ViTConfig.img_h), _count(cfg, "img_w", ViTConfig.img_w)
     if img_w != img_h:
@@ -298,8 +313,11 @@ def main(argv=None):
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=0)
     noise = p.add_mutually_exclusive_group()
-    noise.add_argument("--ber", type=float, default=0.0)
-    noise.add_argument("--snr-db", dest="snr_db", type=float, default=None)
+    noise.add_argument("--ber", default=0.0,
+                       type=_noise_level(lambda ber: 0.0 <= ber <= 0.5, "must lie in [0, 0.5]"))
+    # inf is a noiseless channel; NaN noise would decide every bit 0
+    noise.add_argument("--snr-db", dest="snr_db", default=None,
+                       type=_noise_level(lambda snr: not np.isnan(snr), "must be a number"))
     p.add_argument("--fec", choices=sorted(CODECS), default="identity")
     p.set_defaults(func=cmd_transmit)
 

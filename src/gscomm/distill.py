@@ -104,8 +104,8 @@ def project_head(cls_token, params, epsilon):
     *lead, c = cls_token.shape
     rows = cls_token.reshape(*lead, 1, c)
     # `rows` may be an array, whose `@` would not defer to the weight Tensor
-    h = ad.relu(ad.matmul(rows, params["head.w1"].value) + params["head.b1"].value)
-    logits = h @ params["head.w2"].value + params["head.b2"].value
+    h = ad.relu(ad.matmul(rows, params["head.w1"]) + params["head.b1"])
+    logits = h @ params["head.w2"] + params["head.b2"]
     logits = logits.reshape(*lead, logits.shape[-1])
     q = ad.softmax(logits, temperature=epsilon)
     return ProjectionOutput(logits=logits, q=q)

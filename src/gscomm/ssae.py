@@ -92,8 +92,8 @@ class SSAE:
         self.params = init_ssae_params(config, rng)
 
     def _conv(self, x, name):
-        x = ad.conv2d(x, self.params[name + ".k"].value, stride=1, padding=1)
-        return x + self.params[name + ".b"].value.reshape(-1, 1, 1)
+        x = ad.conv2d(x, self.params[name + ".k"], stride=1, padding=1)
+        return x + self.params[name + ".b"].reshape(-1, 1, 1)
 
     def _block(self, x, name, training):
         stats = self.params["bn." + name].data
@@ -162,12 +162,6 @@ def _sq_distances(chans, centers, diff=None, out=None):
     return np.add(out, diff[2], out=out)
 
 
-def _distinct_rows(chans):
-    """Number of distinct pixels among (3, n) channel-major pixels (0.0 equals -0.0)."""
-    ordered = chans[:, np.lexsort(chans)]
-    return 1 + int((ordered[:, 1:] != ordered[:, :-1]).any(axis=0).sum())
-
-
 def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
     """Lloyd's algorithm with seeded k-means++-style initialisation.
 
@@ -180,14 +174,6 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
         raise ValueError("need at least one pixel and one cluster")
     chans = np.ascontiguousarray(pixels.T)  # (3, n), whatever the input layout
 
-    if _distinct_rows(chans) <= num_colors:
-        uniq = np.unique(pixels, axis=0)
-        centers = np.vstack([uniq, np.repeat(uniq[-1:], num_colors - uniq.shape[0], axis=0)])
-        assign = _sq_distances(chans, centers).argmin(axis=1)
-        if return_inertia:
-            return centers, assign, [0.0]
-        return centers, assign
-
     rng = np.random.default_rng(seed)
     centers = np.empty((num_colors, 3))
     centers[0] = pixels[rng.integers(n)]
@@ -199,6 +185,17 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
         else:
             centers[i] = pixels[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, ((chans - centers[i][:, None]) ** 2).sum(axis=0))
+
+    # a draw with total > 0 picks a colour not yet seeded, so at most F distinct colours
+    # leave d2 all zero (as do two colours closer than about 1e-154, hence the count)
+    if not d2.any():
+        uniq = np.unique(pixels, axis=0)
+        if uniq.shape[0] <= num_colors:
+            centers = np.vstack([uniq, np.repeat(uniq[-1:], num_colors - uniq.shape[0], axis=0)])
+            assign = _sq_distances(chans, centers).argmin(axis=1)
+            if return_inertia:
+                return centers, assign, [0.0]
+            return centers, assign
 
     assign = None
     history = []

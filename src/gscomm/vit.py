@@ -104,10 +104,10 @@ def vit_forward(image, config, params):
 
     # the patch embedding is a stride-P conv with a PxP kernel, run as one matmul over
     # the raster-order patch vectors: no model runs conv2d at a stride above 1
-    kernel = params["patch_embed.kernel"].value.reshape(c, 3 * p * p)
-    patch_tokens = patchify(image, p) @ kernel.T + params["patch_embed.bias"].value
-    patch_tokens = patch_tokens + params["pos_embed"].value
-    cls = params["cls_token"].value + np.zeros((*lead, 1, c))
+    kernel = params["patch_embed.kernel"].reshape(c, 3 * p * p)
+    patch_tokens = patchify(image, p) @ kernel.T + params["patch_embed.bias"]
+    patch_tokens = patch_tokens + params["pos_embed"]
+    cls = params["cls_token"] + np.zeros((*lead, 1, c))
     x = ad.concat([cls, patch_tokens], axis=-2)
 
     heads, d = config.heads, config.head_dim
@@ -118,13 +118,13 @@ def vit_forward(image, config, params):
         # head m owns columns m*d:(m+1)*d of each projection:
         # [..., T+1, C] -> [..., heads, T+1, d]
         q, k, v = (
-            (h @ params[b + w].value).reshape(*lead, t + 1, heads, d).swapaxes(-3, -2)
+            (h @ params[b + w]).reshape(*lead, t + 1, heads, d).swapaxes(-3, -2)
             for w in ("wq", "wk", "wv")
         )
         s = ad.softmax((q @ k.swapaxes(-1, -2)) * scale)
         merged = (s @ v).swapaxes(-3, -2).reshape(*lead, t + 1, c)
-        x = x + merged @ params[b + "wo"].value
+        x = x + merged @ params[b + "wo"]
         h2 = ad.layernorm(x)
-        hidden = ad.relu(h2 @ params[b + "mlp1.w"].value + params[b + "mlp1.b"].value)
-        x = x + (hidden @ params[b + "mlp2.w"].value + params[b + "mlp2.b"].value)
+        hidden = ad.relu(h2 @ params[b + "mlp1.w"] + params[b + "mlp1.b"])
+        x = x + (hidden @ params[b + "mlp2.w"] + params[b + "mlp2.b"])
     return x, s.data

@@ -399,21 +399,21 @@ class TestBilinearResize:
 class TestSgdStep:
     def test_single_step(self):
         p = Parameter(np.array([1.0]))
-        p.value.grad = np.array([0.5])
+        p.grad = np.array([0.5])
         ad.sgd_step([p], lr=0.1)
-        assert p.value.data == pytest.approx([0.95])
+        assert p.data == pytest.approx([0.95])
 
     def test_non_learnable_unchanged(self):
         p = Parameter(np.array([1.0]), learnable=False)
-        p.value.grad = np.array([123.0])
+        p.grad = np.array([123.0])
         ad.sgd_step([p], lr=0.1)
-        assert p.value.data == pytest.approx([1.0])
+        assert p.data == pytest.approx([1.0])
 
     def test_zero_gradient_fixed_point(self):
         p = Parameter(np.array([2.0]))
-        p.value.grad = np.array([0.0])
+        p.grad = np.array([0.0])
         ad.sgd_step([p], lr=0.1)
-        assert p.value.data == pytest.approx([2.0])
+        assert p.data == pytest.approx([2.0])
 
     def test_bad_lr(self):
         with pytest.raises(ValueError):

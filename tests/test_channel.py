@@ -19,7 +19,8 @@ def q_function(x):
 class TestAwgn:
     def test_noiseless_limit(self, rng):
         bits = rng.integers(0, 2, 1000).astype(np.uint8)
-        assert np.array_equal(transmit_awgn(bits, snr_db=200.0, seed=1), bits)
+        for snr_db in (200.0, math.inf):
+            assert np.array_equal(transmit_awgn(bits, snr_db=snr_db, seed=1), bits)
 
     def test_ber_matches_q_function(self, rng):
         bits = rng.integers(0, 2, 200_000).astype(np.uint8)
@@ -30,6 +31,12 @@ class TestAwgn:
             ber = measure_ber(bits, received)
             sigma = math.sqrt(expected * (1 - expected) / bits.size)
             assert abs(ber - expected) < 4 * sigma
+
+    def test_nan_snr_rejected(self, rng):
+        # a NaN noise sample decides every bit 0
+        bits = rng.integers(0, 2, 1000).astype(np.uint8)
+        with pytest.raises(ValueError, match="^snr_db must be a number, got nan$"):
+            transmit_awgn(bits, math.nan, seed=1)
 
     def test_deterministic(self, rng):
         bits = rng.integers(0, 2, 5000).astype(np.uint8)

@@ -81,11 +81,11 @@ class TestClassify:
 
 class TestFinetune:
     def test_zero_steps_no_change(self, model, rng):
-        before = {k: p.value.data.copy() for k, p in model.params.items()}
+        before = {k: p.data.copy() for k, p in model.params.items()}
         cfg = ClassifierConfig(num_classes=3, steps=0)
         finetune(model, [(rng.random((3, 16, 16)), 0)], cfg)
         for k, p in model.params.items():
-            assert np.array_equal(p.value.data, before[k])
+            assert np.array_equal(p.data, before[k])
 
     def test_label_out_of_range(self, model, rng):
         cfg = ClassifierConfig(num_classes=3, steps=1)

@@ -173,6 +173,30 @@ def test_transmit_rejects_ber_with_snr_db(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--snr-db", "nan", "must be a number, got nan"),
+    ("--ber", "nan", "must lie in [0, 0.5], got nan"),
+    ("--ber", "0.7", "must lie in [0, 0.5], got 0.7"),
+], ids=["snr-db-nan", "ber-nan", "ber-above-half"])
+def test_transmit_rejects_noise_level_outside_its_range(tmp_path, capsys, option, value, message):
+    frame = tmp_path / "x.gscf"
+    frame.write_bytes(b"GSCF")
+    out = tmp_path / "rx.gscf"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["transmit", "--in", str(frame), "--out", str(out), option, value])
+    assert exit_info.value.code == 2
+    assert f"argument {option}: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transmit_at_infinite_snr_is_noiseless(tmp_path):
+    frame = tmp_path / "x.gscf"
+    frame.write_bytes(bytes(range(256)))
+    out = tmp_path / "rx.gscf"
+    main(["transmit", "--in", str(frame), "--out", str(out), "--snr-db", "inf"])
+    assert out.read_bytes() == frame.read_bytes()
+
+
 def test_train_mae_writes_log(tmp_path, tiny_config):
     ckpt = tmp_path / "mae.ckpt"
     log = tmp_path / "mae.csv"

@@ -67,7 +67,7 @@ class TestProjectHead:
     def test_zero_logits_uniform(self, student):
         params = {k: v for k, v in student.params.items() if k.startswith("head.")}
         for p in params.values():
-            p.value.data[:] = 0.0
+            p.data[:] = 0.0
         out = project_head(np.zeros(16), params, epsilon=0.1)
         assert out.q.data == pytest.approx(np.full(8, 1 / 8))
 

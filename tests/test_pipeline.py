@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import psnr_oracle
+from gscomm import autodiff as ad
+from gscomm.autodiff import Tensor
 from gscomm.channel import CODECS, ChannelConfig
 from gscomm.checkpoint import load_params, save_params
 from gscomm.classifier import ClassifierModel, classify
@@ -208,6 +210,26 @@ def test_train_budget_batch_size_below_one(batch_size):
         TrainBudget(batch_size=batch_size)
 
 
+@pytest.mark.parametrize("model", [
+    lambda vit: MaskingNetwork(vit, DistillConfig(proj_dim=8), rng=np.random.default_rng(0)),
+    lambda vit: ClassifierModel(vit, 2, rng=np.random.default_rng(0)),
+    lambda vit: SSAE(SSAEConfig(latent_channels=4, downs=1, bits=8, stem_channels=8),
+                     rng=np.random.default_rng(0)),
+], ids=["masker", "classifier", "ssae"])
+def test_parameters_are_tensors_and_sgd_moves_only_learnable_ones(model):
+    params = model(ViTConfig(patch_size=8, dim=16, blocks=1, heads=2, img_h=16, img_w=16)).params
+    for name, p in params.items():
+        assert isinstance(p, Tensor)
+        # only the SSAE's batchnorm running statistics are not learnable
+        assert p.requires_grad is not name.startswith("bn.")
+        p.grad = np.ones_like(p.data)
+    before = {k: p.data.copy() for k, p in params.items()}
+    ad.sgd_step(params.values(), lr=0.1)
+    for k, p in params.items():
+        assert np.array_equal(p.data, before[k] - 0.1) is p.requires_grad
+        assert np.array_equal(p.data, before[k]) is not p.requires_grad
+
+
 class TestCheckpoint:
     @pytest.fixture
     def saved(self, tmp_path):
@@ -223,9 +245,9 @@ class TestCheckpoint:
         path, params, target = saved
         load_params(path, target)
         for k in params:
-            assert np.allclose(target[k].value.data, params[k].value.data, atol=1e-6)
+            assert np.allclose(target[k].data, params[k].data, atol=1e-6)
             # values are stored as float32, so a load gives back exactly the rounded values
-            assert np.array_equal(target[k].value.data, params[k].value.data.astype("<f4"))
+            assert np.array_equal(target[k].data, params[k].data.astype("<f4"))
 
     @pytest.mark.parametrize("model, size, sha256", [
         (lambda: MaskingNetwork(ViTConfig(), DistillConfig(), rng=np.random.default_rng(0)),
@@ -243,11 +265,11 @@ class TestCheckpoint:
 
     @staticmethod
     def _rejected_unchanged(path, target, match):
-        before = {k: p.value.data.copy() for k, p in target.items()}
+        before = {k: p.data.copy() for k, p in target.items()}
         with pytest.raises(DatasetFormatError, match=match):
             load_params(path, target)
         for k, p in target.items():
-            assert np.array_equal(p.value.data, before[k])
+            assert np.array_equal(p.data, before[k])
 
     def test_missing_tensor_rejected(self, tmp_path, saved):
         _, params, target = saved
@@ -453,6 +475,11 @@ class TestReportAndSweep:
         examples = [(rng.random((3, 32, 32)), 0)]
         with pytest.raises(ValueError, match="unknown channel mode 'bsc'"):
             sweep(examples, [0.01], small_models, RefineParams(), mode="bsc")
+
+    def test_awgn_mode_rejects_nan_snr(self, small_models, rng):
+        examples = [(rng.random((3, 32, 32)), 0)]
+        with pytest.raises(ValueError, match="^snr_db must be a number, got nan$"):
+            sweep(examples, [math.nan], small_models, RefineParams(), mode="awgn_snr_db")
 
     def test_awgn_mode_uses_grid_as_snr(self, small_models, rng):
         examples = [(rng.random((3, 32, 32)), 0)]

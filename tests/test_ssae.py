@@ -260,13 +260,13 @@ class TestTraining:
         ssae = SSAE(SSAEConfig(latent_channels=2, downs=1, stem_channels=4), rng=rng)
         # learnable params only: the batchnorm running statistics move on every
         # training forward pass
-        before = {k: p.value.data.copy() for k, p in ssae.params.items() if p.learnable}
+        before = {k: p.data.copy() for k, p in ssae.params.items() if p.requires_grad}
         images = [rng.random((3, 8, 8)) for _ in range(2)]
         masks = [np.zeros((3, 8, 8))] * 2
         loss = ssae.train_step(images, masks, lr=0.1)
         assert loss == 0.0
         for k, data in before.items():
-            assert np.array_equal(ssae.params[k].value.data, data)
+            assert np.array_equal(ssae.params[k].data, data)
 
     def test_loss_non_negative_and_decreasing(self, rng):
         ssae = SSAE(SSAEConfig(latent_channels=4, downs=1, stem_channels=8), rng=rng)
@@ -344,7 +344,7 @@ class TestTraining:
     def test_training_moves_running_statistics(self, rng):
         ssae = SSAE(SSAEConfig(latent_channels=2, downs=1, stem_channels=4), rng=rng)
         stats = ssae.params["bn.enc.stem"]
-        assert not stats.learnable
+        assert not stats.requires_grad
         assert np.array_equal(stats.data, [[0.0] * 4, [1.0] * 4])
         ssae.train_step([rng.random((3, 8, 8))], [np.ones((3, 8, 8))], lr=0.1)
         assert not np.array_equal(stats.data, [[0.0] * 4, [1.0] * 4])

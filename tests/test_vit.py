@@ -3,7 +3,7 @@ import pytest
 
 from conftest import check_gradients, fd_gradient
 from gscomm import autodiff as ad
-from gscomm.autodiff import Parameter, Tensor
+from gscomm.autodiff import Tensor
 from gscomm.vit import ViTConfig, init_vit_params, patchify, vit_forward
 
 
@@ -130,7 +130,7 @@ class TestForward:
         cfg = ViTConfig()
         params = init_vit_params(cfg, rng)
         image = rng.random((3, cfg.img_h, cfg.img_w))
-        kernel = params["patch_embed.kernel"].value
+        kernel = params["patch_embed.kernel"]
         conv = ad.conv2d(image, kernel, stride=cfg.patch_size, padding=0)
         emb = conv.reshape(cfg.dim, cfg.num_patches).T
         tokens, _ = vit_forward(image, cfg, params)
@@ -138,7 +138,7 @@ class TestForward:
         np.testing.assert_allclose(tokens.data, ref_tokens, rtol=0, atol=1e-12)
         # pos_embed is added to the patch embedding, so its gradient is the embedding's
         (tokens * rng.standard_normal(tokens.shape)).sum().backward()
-        g_emb = params["pos_embed"].value.grad
+        g_emb = params["pos_embed"].grad
         g_kernel = kernel.grad
         kernel.zero_grad()
         (emb * g_emb).sum().backward()
@@ -167,7 +167,7 @@ class TestForward:
         weights = rng.standard_normal((2, cfg.num_patches + 1, cfg.dim))
 
         def loss(images, *values):
-            local = {**params, **{n: Parameter(v) for n, v in zip(names, values)}}
+            local = {**params, **dict(zip(names, values))}
             tokens, _ = vit_forward(images, cfg, local)
             return (tokens * weights).sum()
 
@@ -180,7 +180,7 @@ class TestForward:
 
     def test_permutation_equivariance_with_zero_pos_embed(self, rng, small_config):
         params = init_vit_params(small_config, rng)
-        params["pos_embed"].value.data[:] = 0.0
+        params["pos_embed"].data[:] = 0.0
         image = rng.random((3, 16, 16))
         # patches 0 and 1 are the top-left and top-right 8x8 blocks
         image2 = image.copy()
@@ -207,18 +207,18 @@ class TestForward:
         name = "blk0.wq"
 
         def loss_value(kernel_data):
-            old = params[name].value.data
-            params[name].value.data = kernel_data
+            old = params[name].data
+            params[name].data = kernel_data
             tokens, _ = vit_forward(image, cfg, params)
             val = (tokens[0] * Tensor(w)).sum().item()
-            params[name].value.data = old
+            params[name].data = old
             return val
 
         tokens, _ = vit_forward(image, cfg, params)
         (tokens[0] * Tensor(w)).sum().backward()
-        analytic = params[name].value.grad
-        numeric = fd_gradient(loss_value, [params[name].value.data.copy()], 0)
+        analytic = params[name].grad
+        numeric = fd_gradient(loss_value, [params[name].data.copy()], 0)
         err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
         assert err.max() < 1e-3
         for p in params.values():
-            p.value.zero_grad()
+            p.zero_grad()
