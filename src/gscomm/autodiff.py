@@ -4,12 +4,12 @@ Tensors wrap float64 numpy arrays and record a computation graph; calling
 ``backward()`` on a scalar propagates gradients to every reachable leaf
 whose ``requires_grad`` flag is set. Single-threaded per graph.
 
-An op is its value plus its local gradient: an op on one tensor hands both to
-``_unary``, and an op on two (arithmetic, ``matmul``) hands its value and one
-local gradient per parent to ``_binary``, which records the node. ``conv2d``,
-whose two gradients share one padded gradient grid, and ``concat``, which has n
-parents, write their own backward. Every backward skips a parent that needs no
-gradient. A ``Parameter`` is a leaf Tensor.
+An op is its value plus one local gradient per parent: a function from the
+node's gradient to that parent's share (a vector-Jacobian product). Every op
+hands the three to ``_op``, which records the node, and ``backward()`` alone
+applies them: it sums each share back to its parent's shape (numpy
+broadcasting) and adds it in, skipping a parent that needs no gradient. A
+``Tensor(...)`` and a ``Parameter`` are leaves.
 
 Leading axes are batch axes: the spatial ops work on the last three (C, H, W),
 so one image and a batch take the same path. The batched trainers build one
@@ -45,14 +45,13 @@ __all__ = [
 class Tensor:
     """A node in the recorded computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads")
 
-    def __init__(self, data, parents=(), requires_grad=False):
+    def __init__(self, data, *, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = tuple(parents)
-        self._backward = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in self._parents)
+        self.requires_grad = requires_grad
+        self._parents = self._grads = ()  # a leaf; _op records the others
 
     @property
     def shape(self):
@@ -88,8 +87,9 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            for p, grad in zip(node._parents, node._grads):
+                if p.requires_grad:
+                    p._accumulate(_unbroadcast(grad(node.grad), p.data.shape))
 
     def zero_grad(self):
         self.grad = None
@@ -101,28 +101,28 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        return _binary(self, other, self.data + other.data, lambda g: g, lambda g: g)
+        return _op(self.data + other.data, (self, other), (lambda g: g, lambda g: g))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
         other = _as_tensor(other)
-        return _binary(self, other, self.data - other.data, lambda g: g, lambda g: -g)
+        return _op(self.data - other.data, (self, other), (lambda g: g, lambda g: -g))
 
     def __rsub__(self, other):
         return _as_tensor(other).__sub__(self)
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        return _binary(self, other, self.data * other.data,
-                       lambda g: g * other.data, lambda g: g * self.data)
+        return _op(self.data * other.data, (self, other),
+                   (lambda g: g * other.data, lambda g: g * self.data))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __neg__(self):
-        return _unary(self, -self.data, lambda g: -g)
+        return _op(-self.data, (self,), (lambda g: -g,))
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
@@ -135,12 +135,12 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        return _unary(self, self.data.reshape(shape), lambda g: g.reshape(self.data.shape))
+        return _op(self.data.reshape(shape), (self,), (lambda g: g.reshape(self.data.shape),))
 
     def transpose(self, *axes):
         """Permute the axes (reverse them when none are given), like ndarray.transpose."""
         axes = axes or tuple(reversed(range(self.data.ndim)))
-        return _unary(self, self.data.transpose(axes), lambda g: g.transpose(np.argsort(axes)))
+        return _op(self.data.transpose(axes), (self,), (lambda g: g.transpose(np.argsort(axes)),))
 
     def swapaxes(self, a, b):
         axes = list(range(self.data.ndim))
@@ -157,25 +157,25 @@ class Tensor:
             np.add.at(full, key, g)
             return full
 
-        return _unary(self, self.data[key], grad)
+        return _op(self.data[key], (self,), (grad,))
 
     def sum(self, axis=None):
         def grad(g):
             g = g if axis is None else np.expand_dims(g, axis)
             return np.broadcast_to(g, self.data.shape)
 
-        return _unary(self, self.data.sum(axis=axis), grad)
+        return _op(self.data.sum(axis=axis), (self,), (grad,))
 
     def mean(self):
         """The mean of the items added in index order, x0 + x1 + ...: so a batched loss
         equals its per-item losses added one by one, which np.sum's pairwise order does
         not from eight items on."""
         scale = 1.0 / self.data.size
-        return _unary(self, np.add.accumulate(self.data.reshape(-1))[-1] * scale,
-                      lambda g: np.full_like(self.data, g * scale))
+        return _op(np.add.accumulate(self.data.reshape(-1))[-1] * scale, (self,),
+                   (lambda g: np.full_like(self.data, g * scale),))
 
     def log(self):
-        return _unary(self, np.log(self.data), lambda g: g / self.data)
+        return _op(np.log(self.data), (self,), (lambda g: g / self.data,))
 
 
 class Parameter(Tensor):
@@ -196,27 +196,13 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unary(x, data, grad):
-    """The node holding `data`, an op's value on x alone; its backward adds grad(g),
-    the op's local gradient applied to the output gradient g, to x."""
-    out = Tensor(data, (x,))
-    out._backward = lambda g: x._accumulate(grad(g))
-    return out
-
-
-def _binary(a, b, data, fa, fb):
-    """The node holding `data`, an op's value on a and b; its backward adds fa(g) to a
-    and fb(g) to b, each summed back to its parent's shape (see _unbroadcast), and
-    skips a parent that needs no gradient."""
-    out = Tensor(data, (a, b))
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(fa(g), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(fb(g), b.data.shape))
-
-    out._backward = bwd
+def _op(data, parents, grads):
+    """The node holding `data`, an op's value on the tensors `parents`; grads[i] maps
+    the node's gradient g to parents[i]'s share, which backward() sums back to that
+    parent's shape (see _unbroadcast) and adds in."""
+    out = Tensor(data)
+    out._parents, out._grads = parents, grads
+    out.requires_grad = any(p.requires_grad for p in parents)
     return out
 
 
@@ -243,8 +229,8 @@ def matmul(a, b):
         raise ValueError(
             f"matmul inner extents disagree: {a.data.shape} vs {b.data.shape}"
         )
-    return _binary(a, b, a.data @ b.data, lambda g: g @ np.swapaxes(b.data, -1, -2),
-                   lambda g: np.swapaxes(a.data, -1, -2) @ g)
+    return _op(a.data @ b.data, (a, b), (lambda g: g @ np.swapaxes(b.data, -1, -2),
+                                          lambda g: np.swapaxes(a.data, -1, -2) @ g))
 
 
 def conv2d(x, kernel, stride=1, padding=0):
@@ -287,27 +273,31 @@ def conv2d(x, kernel, stride=1, padding=0):
     )
     grid = kernel.data.reshape(c_out, -1) @ cols.reshape(b, c_in * kh * kw, span)
     grid = grid.reshape(b, c_out, h_out, wp)[..., :w_out]
-    out = Tensor(grid.reshape(*lead, c_out, h_out, w_out), (x, kernel))
 
-    def bwd(g):
+    def taps():  # each tap's span on the flat padded grid, taps in row-major order
+        return [slice(o, o + stride * (span - 1) + 1, stride)
+                for o in (di * wp + dj for di in range(kh) for dj in range(kw))]
+
+    def padded(g):  # g on the output grid wp wide, zero in its dropped columns
         gf = np.zeros((b, c_out, h_out, wp))
         gf[..., :w_out] = g.reshape(b, c_out, h_out, w_out)
-        gf = gf.reshape(b, c_out, span)
-        taps = [slice(o, o + stride * (span - 1) + 1, stride)
-                for o in (di * wp + dj for di in range(kh) for dj in range(kw))]
-        if kernel.requires_grad:
-            gk = np.stack([(gf @ xp[:, :, t].transpose(0, 2, 1)).sum(axis=0) for t in taps])
-            kernel._accumulate(gk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            kt = kernel.data.reshape(c_out, c_in, kh * kw).T.copy()  # [k*k, C_in, C_out]
-            gxp = np.zeros_like(xp)
-            for t, k_t in zip(taps, kt):
-                span_t = gxp[:, :, t]  # in place on the view: `gxp[t] +=` would copy it back
-                span_t += k_t @ gf
-            x._accumulate(unpadded(gxp).reshape(x.data.shape))
+        return gf.reshape(b, c_out, span)
 
-    out._backward = bwd
-    return out
+    def grad_x(g):
+        gf = padded(g)
+        kt = kernel.data.reshape(c_out, c_in, kh * kw).T.copy()  # [k*k, C_in, C_out]
+        gxp = np.zeros_like(xp)
+        for t, k_t in zip(taps(), kt):
+            span_t = gxp[:, :, t]  # in place on the view: `gxp[t] +=` would copy it back
+            span_t += k_t @ gf
+        return unpadded(gxp).reshape(x.data.shape)
+
+    def grad_kernel(g):
+        gf = padded(g)
+        gk = np.stack([(gf @ xp[:, :, t].transpose(0, 2, 1)).sum(axis=0) for t in taps()])
+        return gk.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1)
+
+    return _op(grid.reshape(*lead, c_out, h_out, w_out), (x, kernel), (grad_x, grad_kernel))
 
 
 def maxpool2(x):
@@ -327,15 +317,15 @@ def maxpool2(x):
         gwin = gflat.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(-3, -2)
         return gwin.reshape(x.data.shape)
 
-    return _unary(x, np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], grad)
+    return _op(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], (x,), (grad,))
 
 
 def upsample_nearest2(x):
     """Nearest-neighbour 2x upsampling of the last two axes; gradient sums over replicas."""
     x = _as_tensor(x)
     *lead, h, w = x.data.shape
-    return _unary(x, x.data.repeat(2, axis=-2).repeat(2, axis=-1),
-                  lambda g: g.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)))
+    return _op(x.data.repeat(2, axis=-2).repeat(2, axis=-1), (x,),
+               (lambda g: g.reshape(*lead, h, 2, w, 2).sum(axis=(-3, -1)),))
 
 
 def relu(x):
@@ -345,11 +335,11 @@ def relu(x):
 def sigmoid(x):
     x = _as_tensor(x)
     y = 1.0 / (1.0 + np.exp(-x.data))
-    return _unary(x, y, lambda g: g * y * (1.0 - y))
+    return _op(y, (x,), (lambda g: g * y * (1.0 - y),))
 
 
 def _clamp_min(t, floor):
-    return _unary(t, np.maximum(t.data, floor), lambda g: g * (t.data > floor))
+    return _op(np.maximum(t.data, floor), (t,), (lambda g: g * (t.data > floor),))
 
 
 def _normalize(x, axes, eps):
@@ -367,7 +357,7 @@ def _normalize(x, axes, eps):
         gxhat = (g * xhat).sum(axis=axes, keepdims=True)
         return inv * (g - gsum / n - xhat * gxhat / n)
 
-    return _unary(x, xhat, grad), mu, var
+    return _op(xhat, (x,), (grad,)), mu, var
 
 
 NORM_EPS = 1e-5  # layernorm's and batchnorm's variance floor
@@ -407,22 +397,14 @@ def softmax(x, temperature=1.0):
         dot = (g * y).sum(axis=-1, keepdims=True)
         return y * (g - dot) / temperature
 
-    return _unary(x, y, grad)
+    return _op(y, (x,), (grad,))
 
 
 def concat(tensors, axis=-1):
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
-                t._accumulate(piece)
-
-    out._backward = bwd
-    return out
+    tensors = tuple(_as_tensor(t) for t in tensors)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    grads = tuple(lambda g, i=i: np.split(g, splits, axis=axis)[i] for i in range(len(tensors)))
+    return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors, grads)
 
 
 def masked_frobenius_norm(residual, mask):
@@ -431,7 +413,7 @@ def masked_frobenius_norm(residual, mask):
     masked = residual.data * mask
     norm = np.sqrt((masked * masked).sum(axis=(-3, -2, -1)))
     divisor = np.where(norm > 0.0, norm, np.inf)[..., None, None, None]
-    return _unary(residual, norm, lambda g: g[..., None, None, None] * masked * mask / divisor)
+    return _op(norm, (residual,), (lambda g: g[..., None, None, None] * masked * mask / divisor,))
 
 
 def bilinear_resize(grid, target):

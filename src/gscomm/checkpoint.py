@@ -45,6 +45,8 @@ def load_params(path, params):
             raise DatasetFormatError(f"checkpoint truncated at tensor {name!r}", offset * 4)
         if name not in params:
             raise DatasetFormatError(f"unknown tensor {name!r} in checkpoint")
+        if name in values:
+            raise DatasetFormatError(f"tensor {name!r} appears twice in checkpoint")
         if params[name].data.shape != shape:
             raise DatasetFormatError(f"shape mismatch for tensor {name!r}")
         values[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)

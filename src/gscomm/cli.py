@@ -317,7 +317,8 @@ def main(argv=None):
                        type=_noise_level(lambda ber: 0.0 <= ber <= 0.5, "must lie in [0, 0.5]"))
     # inf is a noiseless channel; NaN noise would decide every bit 0
     noise.add_argument("--snr-db", dest="snr_db", default=None,
-                       type=_noise_level(lambda snr: not np.isnan(snr), "must be a number"))
+                       type=_noise_level(lambda snr: not np.isnan(snr), "must be a number"),
+                       help="AWGN SNR in dB; write a value such as -inf or -1e1 as --snr-db=VALUE")
     p.add_argument("--fec", choices=sorted(CODECS), default="identity")
     p.set_defaults(func=cmd_transmit)
 

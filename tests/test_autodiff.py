@@ -175,16 +175,14 @@ def _layernorm_reference(x, eps=1e-5):
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat, (x,))
     n = x.data.shape[-1]
 
-    def bwd(g):
+    def grad(g):
         gsum = g.sum(axis=-1, keepdims=True)
         gxhat = (g * xhat).sum(axis=-1, keepdims=True)
-        x._accumulate(inv * (g - gsum / n - xhat * gxhat / n))
+        return inv * (g - gsum / n - xhat * gxhat / n)
 
-    out._backward = bwd
-    return out
+    return ad._op(xhat, (x,), (grad,))
 
 
 def _batchnorm_reference(x, state, training):
@@ -203,18 +201,15 @@ def _batchnorm_reference(x, state, training):
         var = state["running_var"]
     inv = 1.0 / np.sqrt(var + 1e-5)[:, None, None]
     xhat = xc * inv
-    out = Tensor(xhat, (x,))
 
-    def bwd(g):
+    def grad(g):
         if training:
             gsum = g.sum(axis=axes)[:, None, None]
             gxhat = (g * xhat).sum(axis=axes)[:, None, None]
-            x._accumulate(inv * (g - gsum / n - xhat * gxhat / n))
-        else:
-            x._accumulate(g * inv)
+            return inv * (g - gsum / n - xhat * gxhat / n)
+        return g * inv
 
-    out._backward = bwd
-    return out
+    return ad._op(xhat, (x,), (grad,))
 
 
 def _fresh_stats(channels):
@@ -519,6 +514,8 @@ TENSOR_METHOD_CASES = {
     "repeated_fancy_index": (lambda x: x[[0, 0, 2]], (3, 4)),
     "sum_over_axis_tuple": (lambda x: x.sum(axis=(0, 2)), (2, 3, 4)),
     "divide_by_scalar": (lambda x: x / 4.0, (3, 4)),
+    "concat_twice": (lambda x: ad.concat([x, x], axis=0), (3, 4)),
+    "matmul_self": (lambda x: x @ x, (4, 4)),
 }
 
 

@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gscomm.channel import ChannelConfig
+from gscomm.channel import CODECS, ChannelConfig
 from gscomm.cli import _models, main, parse_config, read_config
 from gscomm.datasets import STL10_IMAGE_BYTES, read_ppm, write_ppm
 from gscomm.distill import DistillConfig
-from gscomm.framing import parse_frame
+from gscomm.framing import bits_to_bytes, bytes_to_bits, parse_frame
 from gscomm.pipeline import RefineParams, TrainBudget, receive, run_end_to_end, transmit
 from gscomm.ssae import SSAEConfig
 from gscomm.vit import ViTConfig
@@ -195,6 +195,18 @@ def test_transmit_at_infinite_snr_is_noiseless(tmp_path):
     out = tmp_path / "rx.gscf"
     main(["transmit", "--in", str(frame), "--out", str(out), "--snr-db", "inf"])
     assert out.read_bytes() == frame.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["-inf", "-1e1"])
+def test_transmit_reads_snr_written_with_equals(tmp_path, value):
+    # argparse takes a separate "-inf" or "-1e1" for an option name; "--snr-db=VALUE" is read
+    frame = tmp_path / "x.gscf"
+    frame.write_bytes(bytes(range(256)))
+    out = tmp_path / "rx.gscf"
+    main(["transmit", "--in", str(frame), "--out", str(out), f"--snr-db={value}", "--seed", "4"])
+    channel = ChannelConfig(mode="awgn_snr_db", snr_db=float(value), seed=4)
+    expected = bits_to_bytes(channel.send(bytes_to_bits(frame.read_bytes()), CODECS["identity"]))
+    assert out.read_bytes() == expected[:256] != frame.read_bytes()
 
 
 def test_train_mae_writes_log(tmp_path, tiny_config):

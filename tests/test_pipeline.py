@@ -8,7 +8,7 @@ import pytest
 
 from conftest import psnr_oracle
 from gscomm import autodiff as ad
-from gscomm.autodiff import Tensor
+from gscomm.autodiff import Parameter, Tensor
 from gscomm.channel import CODECS, ChannelConfig
 from gscomm.checkpoint import load_params, save_params
 from gscomm.classifier import ClassifierModel, classify
@@ -287,6 +287,13 @@ class TestCheckpoint:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(path.read_bytes().replace(old, new, 1))
         self._rejected_unchanged(bad, target, match)
+
+    def test_repeated_tensor_rejected(self, tmp_path):
+        # 7 floats fill a:2 a:2 b:3 exactly, so only the repeated name is wrong
+        path = tmp_path / "twice.ckpt"
+        path.write_bytes(b"a:2 a:2 b:3\n" + np.arange(7.0).astype("<f4").tobytes())
+        target = {"a": Parameter(np.full(2, -1.0)), "b": Parameter(np.full(3, -2.0))}
+        self._rejected_unchanged(path, target, "tensor 'a' appears twice in checkpoint")
 
     def test_trailing_bytes_rejected(self, saved):
         path, _, target = saved
