@@ -15,6 +15,9 @@ Leading axes are batch axes: the spatial ops work on the last three (C, H, W),
 so one image and a batch take the same path. The batched trainers build one
 graph per step, bit-identical to one graph per image; the tests keep the
 per-image trainers as references for that.
+
+The module holds only what records nodes or steps parameters; the plain-numpy
+bilinear resize of the attention maps lives in ``masking``, its one caller.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "concat",
     "matmul",
     "masked_frobenius_norm",
-    "bilinear_resize",
     "sgd_step",
 ]
 
@@ -414,30 +416,6 @@ def masked_frobenius_norm(residual, mask):
     norm = np.sqrt((masked * masked).sum(axis=(-3, -2, -1)))
     divisor = np.where(norm > 0.0, norm, np.inf)[..., None, None, None]
     return _op(norm, (residual,), (lambda g: g[..., None, None, None] * masked * mask / divisor,))
-
-
-def bilinear_resize(grid, target):
-    """Corner-aligned bilinear interpolation of the last two axes to (H, W). Plain numpy."""
-    grid = np.asarray(grid, dtype=np.float64)
-    h, w = grid.shape[-2:]
-    H, W = target
-    if min(h, w, H, W) < 1:
-        raise ValueError("extents must be >= 1")
-    ys = np.linspace(0.0, h - 1.0, H)
-    xs = np.linspace(0.0, w - 1.0, W)
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    y0, y1 = y0[:, None], y1[:, None]
-    return (
-        grid[..., y0, x0] * (1 - fy) * (1 - fx)
-        + grid[..., y0, x1] * (1 - fy) * fx
-        + grid[..., y1, x0] * fy * (1 - fx)
-        + grid[..., y1, x1] * fy * fx
-    )
 
 
 def sgd_step(params, lr):

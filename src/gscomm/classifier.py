@@ -24,6 +24,10 @@ class ClassifierConfig:
             raise ValueError("need at least two classes")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be at least 0, got {self.steps}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
 
 @dataclass
@@ -35,11 +39,9 @@ class Prediction:
 class ClassifierModel:
     """ViT backbone with a linear CLS-token head onto C' classes."""
 
-    def __init__(self, vit_config, num_classes, rng=None, backbone_params=None):
+    def __init__(self, vit_config, num_classes, rng, backbone_params=None):
         self.vit_config = vit_config
         self.num_classes = num_classes
-        if rng is None:
-            rng = np.random.default_rng(0)
         if backbone_params is None:
             self.params = init_vit_params(vit_config, rng)
         else:
@@ -65,15 +67,13 @@ def classify(image, model):
     return Prediction(probs=probs, label=int(probs.argmax()))
 
 
-def finetune(model, labeled, config, rng=None):
+def finetune(model, labeled, config, rng):
     """SGD cross-entropy fine-tuning on (image, label) pairs; returns losses."""
     if model.num_classes != config.num_classes:
         raise ValueError(f"model has {model.num_classes} classes, config {config.num_classes}")
     for _, label in labeled:
         if not 0 <= label < config.num_classes:
             raise ValueError(f"label {label} out of range [0, {config.num_classes})")
-    if rng is None:
-        rng = np.random.default_rng(0)
     losses = []
     n = len(labeled)
     for _ in range(config.steps):

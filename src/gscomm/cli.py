@@ -3,7 +3,7 @@
 Subcommands: train-mae, train-ssae, finetune, encode, decode, transmit,
 evaluate, sweep. Configuration comes from a flat key=value text file
 (``--config``); see README for the recognized keys. A key's default is the
-default of the library dataclass field it sets.
+default of the library dataclass field it sets, and an unknown key is an error.
 """
 
 from __future__ import annotations
@@ -38,8 +38,17 @@ from .ssae import SSAE, SSAEConfig
 from .vit import ViTConfig
 
 
+# the config keys: every field of the dataclasses the CLI reads, then the CLI's own
+KEYS = frozenset(
+    [f.name for cls in (ViTConfig, DistillConfig, SSAEConfig, TrainBudget, RefineParams)
+     for f in fields(cls)]
+    + ["dataset", "dataset_path", "limit", "num_classes", "images_per_class", "labeled_fraction",
+       "mae_ckpt", "ssae_ckpt", "classifier_ckpt", "grid", "grid_mode", "replicates", "fec", "ber"]
+)
+
+
 def parse_config(path):
-    """Flat key=value text file; '#' starts a comment."""
+    """Flat key=value text file; '#' starts a comment. A key outside KEYS is an error."""
     cfg = {}
     if path is None:
         return cfg
@@ -51,7 +60,10 @@ def parse_config(path):
             key, eq, value = line.partition("=")
             if not eq:
                 raise ValueError(f"{path}:{number}: expected key = value, got {line!r}")
-            cfg[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in KEYS:
+                raise ValueError(f"{path}:{number}: unknown config key {key!r}")
+            cfg[key] = value.strip()
     return cfg
 
 

@@ -77,8 +77,8 @@ def synthetic_dataset(num_classes, per_class, size, seed):
     return out
 
 
-def load_stl10_binary(path, limit=None):
-    """Read an STL-10 binary image file (channel-major, column-major planes)."""
+def load_stl10_binary(path, limit):
+    """The first `limit` images of an STL-10 binary file (channel-major, column-major planes)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) % STL10_IMAGE_BYTES:
@@ -86,9 +86,7 @@ def load_stl10_binary(path, limit=None):
             "STL-10 file length is not a multiple of the 27648-byte record",
             offset=(len(blob) // STL10_IMAGE_BYTES) * STL10_IMAGE_BYTES,
         )
-    count = len(blob) // STL10_IMAGE_BYTES
-    if limit is not None:
-        count = min(count, limit)
+    count = min(len(blob) // STL10_IMAGE_BYTES, limit)
     records = np.frombuffer(blob, dtype=np.uint8, count=count * STL10_IMAGE_BYTES)
     # within each channel the 96x96 plane is stored column-major
     return list(records.reshape(count, 3, 96, 96).transpose(0, 1, 3, 2) / 255.0)

@@ -71,11 +71,9 @@ def init_head_params(vit_config, distill_config, rng):
 class MaskingNetwork:
     """ViT backbone + projection head, configured by a ViTConfig and a DistillConfig."""
 
-    def __init__(self, vit_config, distill_config, rng=None):
+    def __init__(self, vit_config, distill_config, rng):
         self.vit_config = vit_config
         self.distill_config = distill_config
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.params = init_vit_params(vit_config, rng)
         self.params.update(init_head_params(vit_config, distill_config, rng))
 
@@ -138,8 +136,6 @@ def color_jitter(image, brightness, contrast, saturation):
     if saturation != 1.0:
         gray = np.tensordot(LUMA, out, axes=(0, 0))
         out = gray[None] + (out - gray[None]) * saturation
-    if brightness == contrast == saturation == 1.0:
-        return out.copy()
     return np.clip(out, 0.0, 1.0)
 
 

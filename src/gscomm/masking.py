@@ -1,13 +1,11 @@
 """CLS-attention foreground masking: per-head attention maps, binarization,
-head-sum, bilinear upsampling, and mask application."""
+head-sum, bilinear upsampling (``bilinear_resize``), and mask application."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .autodiff import bilinear_resize
 
 FINAL_THRESHOLD = 0.5  # applied to the upsampled head-sum
 
@@ -32,6 +30,30 @@ def cls_attention_maps(attention, config):
             f"expected {config.heads} attention heads, got {attention.shape[-3]}"
         )
     return attention[..., 0, 1:].reshape(*attention.shape[:-2], *config.grid)
+
+
+def bilinear_resize(grid, target):
+    """Corner-aligned bilinear interpolation of the last two axes to (H, W). Plain numpy."""
+    grid = np.asarray(grid, dtype=np.float64)
+    h, w = grid.shape[-2:]
+    H, W = target
+    if min(h, w, H, W) < 1:
+        raise ValueError("extents must be >= 1")
+    ys = np.linspace(0.0, h - 1.0, H)
+    xs = np.linspace(0.0, w - 1.0, W)
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    y0, y1 = y0[:, None], y1[:, None]
+    return (
+        grid[..., y0, x0] * (1 - fy) * (1 - fx)
+        + grid[..., y0, x1] * (1 - fy) * fx
+        + grid[..., y1, x0] * fy * (1 - fx)
+        + grid[..., y1, x1] * fy * fx
+    )
 
 
 def build_semantic_mask(maps, rho, target):

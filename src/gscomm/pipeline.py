@@ -187,6 +187,12 @@ class TrainBudget:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for stage in ("distill", "ssae", "finetune"):
+            steps, lr = getattr(self, stage + "_steps"), getattr(self, stage + "_lr")
+            if steps < 0:
+                raise ValueError(f"{stage}_steps must be at least 0, got {steps}")
+            if not lr > 0:
+                raise ValueError(f"{stage}_lr must be positive, got {lr}")
 
 
 def train_masker(examples, vit_config, distill_config, budget, seed):

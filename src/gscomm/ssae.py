@@ -85,10 +85,8 @@ def init_ssae_params(config, rng):
 class SSAE:
     """Encoder/decoder pair; encode and decode treat the axes before (C, H, W) as batch axes."""
 
-    def __init__(self, config, rng=None):
+    def __init__(self, config, rng):
         self.config = config
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.params = init_ssae_params(config, rng)
 
     def _conv(self, x, name):

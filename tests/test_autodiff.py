@@ -371,26 +371,6 @@ class TestSoftmax:
         check_gradients(lambda a: (ad.softmax(a, temperature=0.7) * Tensor(w)).sum(), [x])
 
 
-class TestBilinearResize:
-    def test_constant_preserved(self):
-        out = ad.bilinear_resize(np.full((2, 2), 3.25), (5, 7))
-        assert out == pytest.approx(np.full((5, 7), 3.25))
-
-    def test_degenerate_1x1(self):
-        out = ad.bilinear_resize([[4.0]], (3, 3))
-        assert out == pytest.approx(np.full((3, 3), 4.0))
-
-    def test_corner_aligned_row(self):
-        out = ad.bilinear_resize([[0.0, 1.0], [0.0, 1.0]], (2, 4))
-        assert out[0] == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
-
-    def test_single_row_and_column_extents(self):
-        grid = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
-        assert np.array_equal(ad.bilinear_resize(grid[:1], (3, 3)), np.repeat(grid[:1], 3, axis=0))
-        assert np.array_equal(ad.bilinear_resize(grid, (1, 3)), grid[:1])
-        assert np.array_equal(ad.bilinear_resize(grid, (2, 1)), grid[:, :1])
-
-
 class TestSgdStep:
     def test_single_step(self):
         p = Parameter(np.array([1.0]))

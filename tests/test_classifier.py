@@ -83,32 +83,41 @@ class TestFinetune:
     def test_zero_steps_no_change(self, model, rng):
         before = {k: p.data.copy() for k, p in model.params.items()}
         cfg = ClassifierConfig(num_classes=3, steps=0)
-        finetune(model, [(rng.random((3, 16, 16)), 0)], cfg)
+        finetune(model, [(rng.random((3, 16, 16)), 0)], cfg, rng=np.random.default_rng(0))
         for k, p in model.params.items():
             assert np.array_equal(p.data, before[k])
 
     def test_label_out_of_range(self, model, rng):
         cfg = ClassifierConfig(num_classes=3, steps=1)
         with pytest.raises(ValueError):
-            finetune(model, [(rng.random((3, 16, 16)), 3)], cfg)
+            finetune(model, [(rng.random((3, 16, 16)), 3)], cfg, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one(self, batch_size):
         with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
             ClassifierConfig(num_classes=3, batch_size=batch_size)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("steps", -3, "steps must be at least 0, got -3"),
+        ("lr", 0.0, "lr must be positive, got 0.0"),
+        ("lr", -1.0, "lr must be positive, got -1.0"),
+    ])
+    def test_negative_steps_and_non_positive_lr(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClassifierConfig(num_classes=3, **{field: value})
+
     @pytest.mark.parametrize("config_classes", [2, 4])
     def test_class_count_must_match_model(self, model, rng, config_classes):
         cfg = ClassifierConfig(num_classes=config_classes, steps=1)
         pairs = [(rng.random((3, 16, 16)), config_classes - 1)]
         with pytest.raises(ValueError, match=f"model has 3 classes, config {config_classes}"):
-            finetune(model, pairs, cfg)
+            finetune(model, pairs, cfg, rng=np.random.default_rng(0))
 
     def test_overfit_single_example(self, vit_config, rng):
         model = ClassifierModel(vit_config, num_classes=3, rng=np.random.default_rng(2))
         image = rng.random((3, 16, 16))
         cfg = ClassifierConfig(num_classes=3, steps=60, lr=0.1, batch_size=1)
-        losses = finetune(model, [(image, 2)], cfg)
+        losses = finetune(model, [(image, 2)], cfg, rng=np.random.default_rng(0))
         assert classify(image, model).label == 2
         assert losses[-1] < losses[0]
 
@@ -117,7 +126,7 @@ class TestFinetune:
         pairs = [(ex.image, ex.label) for ex in data]
         model = ClassifierModel(vit_config, num_classes=4, rng=np.random.default_rng(3))
         cfg = ClassifierConfig(num_classes=4, steps=40, lr=0.08)
-        losses = finetune(model, pairs, cfg)
+        losses = finetune(model, pairs, cfg, rng=np.random.default_rng(0))
         assert losses[-1] < losses[0]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gscomm.channel import CODECS, ChannelConfig
-from gscomm.cli import _models, main, parse_config, read_config
+from gscomm.cli import KEYS, _models, main, parse_config, read_config
 from gscomm.datasets import STL10_IMAGE_BYTES, read_ppm, write_ppm
 from gscomm.distill import DistillConfig
 from gscomm.framing import bits_to_bytes, bytes_to_bits, parse_frame
@@ -44,9 +44,20 @@ def tiny_config(tmp_path):
 
 def test_parse_config(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("a = 1  # trailing\n\n# full-line comment\nb=x y\n")
-    assert parse_config(path) == {"a": "1", "b": "x y"}
+    path.write_text("dim = 1  # trailing\n\n# full-line comment\ngrid=x y\n")
+    assert parse_config(path) == {"dim": "1", "grid": "x y"}
     assert parse_config(None) == {}
+
+
+def test_misspelled_config_key_rejected(tmp_path, tiny_config):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(tiny_config.read_text() + "distill_stepz = 1\n")
+    line = len(cfg.read_text().splitlines())
+    ckpt = tmp_path / "m.ckpt"
+    message = f"{cfg}:{line}: unknown config key 'distill_stepz'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        main(["train-mae", "--config", str(cfg), "--out", str(ckpt)])
+    assert not ckpt.exists()
 
 
 def test_parse_config_rejects_line_without_equals(tmp_path):
@@ -114,6 +125,10 @@ def test_readme_key_table_lists_every_field(cls):
         assert f.name in table, f"README's key table lacks {f.name}"
         assert table[f.name] is not None, f"README's key table gives no default for {f.name}"
         assert type(f.default)(table[f.name]) == f.default, f.name
+
+
+def test_readme_key_table_lists_exactly_the_known_keys():
+    assert set(_readme_key_table()) == KEYS
 
 
 def test_readme_cli_block_names_every_subcommand(capsys):
@@ -230,6 +245,18 @@ def test_trainer_with_zero_steps(tmp_path, tiny_config, capsys, command, steps_k
     assert ckpt.exists()
     assert log.read_text() == "step,loss,learning_rate\n"
     assert capsys.readouterr().out == f"wrote {ckpt} (no steps)\n"
+
+
+@pytest.mark.parametrize("command, steps_key", [
+    ("train-mae", "distill_steps"), ("train-ssae", "ssae_steps"), ("finetune", "finetune_steps"),
+])
+def test_trainer_rejects_negative_steps(tmp_path, tiny_config, command, steps_key):
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text(tiny_config.read_text() + f"{steps_key} = -1\n")
+    ckpt = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=f"^{steps_key} must be at least 0, got -1$"):
+        main([command, "--config", str(cfg), "--out", str(ckpt)])
+    assert not ckpt.exists()
 
 
 def test_finetune_writes_log(tmp_path, tiny_config):

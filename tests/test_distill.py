@@ -8,6 +8,7 @@ from gscomm.datasets import synthetic_dataset
 from gscomm.distill import (
     DistillConfig,
     MaskingNetwork,
+    color_jitter,
     distill_loss,
     make_views,
     project_head,
@@ -115,6 +116,16 @@ class TestDistillLoss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             distill_loss(np.array([1.0]), np.array([0.5, 0.5]))
+
+
+class TestColorJitter:
+    def test_clamps_when_every_factor_is_one(self, rng):
+        image = np.array([1.5, -0.2, 0.25]).reshape(3, 1, 1)
+        assert color_jitter(image, 1.0, 1.0, 1.0).ravel().tolist() == [1.0, 0.0, 0.25]
+        # an image already in [0, 1] comes back bit-identical, as a copy
+        image = rng.random((3, 4, 4))
+        out = color_jitter(image, 1.0, 1.0, 1.0)
+        assert out is not image and out.tobytes() == image.tobytes()
 
 
 class TestMakeViews:

@@ -4,6 +4,7 @@ import pytest
 from gscomm.masking import (
     SemanticMask,
     apply_mask,
+    bilinear_resize,
     build_semantic_mask,
     cls_attention_maps,
     write_pbm,
@@ -47,6 +48,26 @@ class TestClsAttentionMaps:
         cfg = ViTConfig(patch_size=8, dim=32, heads=4, img_h=32, img_w=32)
         with pytest.raises(ValueError):
             cls_attention_maps(np.eye(17)[None], cfg)
+
+
+class TestBilinearResize:
+    def test_constant_preserved(self):
+        out = bilinear_resize(np.full((2, 2), 3.25), (5, 7))
+        assert out == pytest.approx(np.full((5, 7), 3.25))
+
+    def test_degenerate_1x1(self):
+        out = bilinear_resize([[4.0]], (3, 3))
+        assert out == pytest.approx(np.full((3, 3), 4.0))
+
+    def test_corner_aligned_row(self):
+        out = bilinear_resize([[0.0, 1.0], [0.0, 1.0]], (2, 4))
+        assert out[0] == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0])
+
+    def test_single_row_and_column_extents(self):
+        grid = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+        assert np.array_equal(bilinear_resize(grid[:1], (3, 3)), np.repeat(grid[:1], 3, axis=0))
+        assert np.array_equal(bilinear_resize(grid, (1, 3)), grid[:1])
+        assert np.array_equal(bilinear_resize(grid, (2, 1)), grid[:, :1])
 
 
 class TestBuildSemanticMask:

@@ -77,7 +77,7 @@ class TestStl10Binary:
         raw = rng.integers(0, 256, size=2 * STL10_IMAGE_BYTES, dtype=np.uint8)
         p = tmp_path / "imgs.bin"
         p.write_bytes(raw.tobytes())
-        images = load_stl10_binary(p)
+        images = load_stl10_binary(p, limit=2)
         assert len(images) == 2
         assert images[0].shape == (3, 96, 96)
         # channel-major, column-major planes: byte k of image 0 is
@@ -90,7 +90,7 @@ class TestStl10Binary:
                                                 dtype=np.uint8)
         p = tmp_path / "imgs.bin"
         p.write_bytes(raw.tobytes())
-        for limit in (None, 2):
+        for limit in (3, 2):
             images = load_stl10_binary(p, limit=limit)
             assert len(images) == (limit or 3)
             for i, image in enumerate(images):
@@ -102,7 +102,7 @@ class TestStl10Binary:
         p = tmp_path / "bad.bin"
         p.write_bytes(b"\x00" * (STL10_IMAGE_BYTES + 5))
         with pytest.raises(DatasetFormatError) as exc:
-            load_stl10_binary(p)
+            load_stl10_binary(p, limit=1)
         assert exc.value.offset == STL10_IMAGE_BYTES
 
     def test_limit(self, tmp_path):
@@ -208,6 +208,19 @@ class TestMaskedPsnr:
 def test_train_budget_batch_size_below_one(batch_size):
     with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
         TrainBudget(batch_size=batch_size)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("distill_steps", -1, "distill_steps must be at least 0, got -1"),
+    ("ssae_steps", -3, "ssae_steps must be at least 0, got -3"),
+    ("finetune_steps", -1, "finetune_steps must be at least 0, got -1"),
+    ("distill_lr", 0.0, "distill_lr must be positive, got 0.0"),
+    ("ssae_lr", -0.5, "ssae_lr must be positive, got -0.5"),
+    ("finetune_lr", math.nan, "finetune_lr must be positive, got nan"),
+])
+def test_train_budget_rejects_negative_steps_and_non_positive_lr(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainBudget(**{field: value})
 
 
 @pytest.mark.parametrize("model", [
