@@ -388,8 +388,10 @@ def batchnorm(x, stats, training=True):
 def softmax(x, temperature=1.0):
     """Temperature softmax over the last axis, max-subtraction stabilized."""
     x = _as_tensor(x)
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
+    if math.isinf(temperature):
+        raise ValueError(f"temperature must be finite, got {temperature}")
     z = x.data / temperature
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -420,8 +422,10 @@ def masked_frobenius_norm(residual, mask):
 
 def sgd_step(params, lr):
     """Vanilla SGD over an iterable of leaf Tensors; skips those that need no gradient."""
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError("lr must be positive")
+    if math.isinf(lr):
+        raise ValueError(f"lr must be finite, got {lr}")
     for p in params:
         if not p.requires_grad or p.grad is None:
             continue

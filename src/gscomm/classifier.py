@@ -3,6 +3,7 @@ cross-entropy on a small labeled subset."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class ClassifierConfig:
             raise ValueError(f"steps must be at least 0, got {self.steps}")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if math.isinf(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
 
 
 @dataclass

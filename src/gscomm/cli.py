@@ -94,25 +94,14 @@ def _count(cfg, key, default):
     return value
 
 
-def _seed(text):
-    """A --seed value: an integer from 0 up, as numpy's generators take."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
-    return seed
-
-
-def _noise_level(valid, rule):
-    """An argparse type for a channel option: a float for which valid(value) holds."""
+def _checked(kind, valid, rule):
+    """An argparse type: text read as a `kind` for which valid(value) holds, else `rule`."""
 
     def parse(text):
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if not valid(value):
             raise argparse.ArgumentTypeError(f"{rule}, got {value}")
         return value
@@ -134,29 +123,32 @@ def _dataset(cfg, seed):
         if "dataset_path" not in cfg:
             raise ValueError("dataset = stl10_binary needs the key dataset_path")
         images = load_stl10_binary(cfg["dataset_path"], limit=_count(cfg, "limit", 16))
-        return [SyntheticExample(image=im, label=0, fg_mask=np.ones(im.shape[1:])) for im in images]
+        return [SyntheticExample(image=im, label=None, fg_mask=np.ones(im.shape[1:]))
+                for im in images]
     raise ValueError(f"unknown dataset source {source!r}")
 
 
+def _restore(model, cfg, key):
+    """`model`, its parameters loaded from the checkpoint at config key `key` when that is set."""
+    if key in cfg:
+        load_params(cfg[key], model.params)
+    return model
+
+
 def _load_masker(cfg, seed):
-    net = MaskingNetwork(read_config(ViTConfig, cfg), read_config(DistillConfig, cfg),
-                         rng=np.random.default_rng(seed))
-    if "mae_ckpt" in cfg:
-        load_params(cfg["mae_ckpt"], net.params)
-    return net
+    return _restore(MaskingNetwork(read_config(ViTConfig, cfg), read_config(DistillConfig, cfg),
+                                   rng=np.random.default_rng(seed)), cfg, "mae_ckpt")
 
 
 def _load_ssae(cfg, seed):
-    ssae = SSAE(read_config(SSAEConfig, cfg), rng=np.random.default_rng(seed))
-    if "ssae_ckpt" in cfg:
-        load_params(cfg["ssae_ckpt"], ssae.params)
-    return ssae
+    return _restore(SSAE(read_config(SSAEConfig, cfg), rng=np.random.default_rng(seed)),
+                    cfg, "ssae_ckpt")
 
 
-def _finish(args, save, losses, learning_rate):
-    """Trainers' ending: save the checkpoint, write the optional per-step log
+def _finish(args, params, losses, learning_rate):
+    """Trainers' ending: save `params` to --out, write the optional per-step log
     (one `step,loss,learning_rate` CSV row per step), print the final loss, if any."""
-    save(args.out)
+    save_params(args.out, params)
     if args.log:
         with open(args.log, "w") as fh:
             fh.write("step,loss,learning_rate\n")
@@ -165,18 +157,16 @@ def _finish(args, save, losses, learning_rate):
     print(f"wrote {args.out} ({f'final loss {losses[-1]:.4f}' if losses else 'no steps'})")
 
 
-def cmd_train_mae(args):
-    cfg = parse_config(args.config)
+def cmd_train_mae(args, cfg):
     budget = read_config(TrainBudget, cfg)
     student, _, losses = train_masker(
         _dataset(cfg, args.seed), read_config(ViTConfig, cfg), read_config(DistillConfig, cfg),
         budget, args.seed,
     )
-    _finish(args, lambda path: save_params(path, student.params), losses, budget.distill_lr)
+    _finish(args, student.params, losses, budget.distill_lr)
 
 
-def cmd_train_ssae(args):
-    cfg = parse_config(args.config)
+def cmd_train_ssae(args, cfg):
     data = _dataset(cfg, args.seed)
     budget = read_config(TrainBudget, cfg)
     images = [ex.image for ex in data]
@@ -186,14 +176,15 @@ def cmd_train_ssae(args):
     else:
         masks3 = [np.broadcast_to(ex.fg_mask, ex.image.shape).copy() for ex in data]
     ssae, losses = train_ssae_on(images, masks3, read_config(SSAEConfig, cfg), budget, args.seed)
-    _finish(args, lambda path: save_params(path, ssae.params), losses, budget.ssae_lr)
+    _finish(args, ssae.params, losses, budget.ssae_lr)
 
 
-def cmd_finetune(args):
-    cfg = parse_config(args.config)
+def cmd_finetune(args, cfg):
     frac = _get(cfg, "labeled_fraction", 0.1)
     if not 0 < frac <= 1:
         raise ValueError("labeled_fraction must lie in (0, 1]")
+    if cfg.get("dataset") == "stl10_binary":
+        raise ValueError("dataset = stl10_binary has no labels; finetune needs labeled images")
     data = _dataset(cfg, args.seed)
     budget = read_config(TrainBudget, cfg)
     rng = np.random.default_rng(args.seed)
@@ -207,11 +198,10 @@ def cmd_finetune(args):
         pairs, read_config(ViTConfig, cfg), _count(cfg, "num_classes", 4), budget, args.seed,
         backbone_params=backbone,
     )
-    _finish(args, lambda path: save_params(path, model.params), losses, budget.finetune_lr)
+    _finish(args, model.params, losses, budget.finetune_lr)
 
 
-def cmd_encode(args):
-    cfg = parse_config(args.config)
+def cmd_encode(args, cfg):
     models = PipelineModels(_load_masker(cfg, args.seed), _load_ssae(cfg, args.seed))
     frame, mask = transmit(
         read_ppm(args.input), models, read_config(RefineParams, cfg), args.seed
@@ -223,8 +213,7 @@ def cmd_encode(args):
     print(f"wrote {args.out} ({len(frame)} bytes)")
 
 
-def cmd_decode(args):
-    cfg = parse_config(args.config)
+def cmd_decode(args, cfg):
     ssae = _load_ssae(cfg, args.seed)
     with open(args.input, "rb") as fh:
         frame = fh.read()
@@ -232,7 +221,7 @@ def cmd_decode(args):
     print(f"wrote {args.out}")
 
 
-def cmd_transmit(args):
+def cmd_transmit(args, cfg):
     with open(args.input, "rb") as fh:
         frame = fh.read()
     if args.snr_db is not None:
@@ -253,11 +242,8 @@ def _models(cfg, seed):
     ssae = _load_ssae(cfg, seed)
     clf = None
     if "classifier_ckpt" in cfg:
-        clf = ClassifierModel(
-            read_config(ViTConfig, cfg), _count(cfg, "num_classes", 4),
-            rng=np.random.default_rng(seed),
-        )
-        load_params(cfg["classifier_ckpt"], clf.params)
+        clf = _restore(ClassifierModel(read_config(ViTConfig, cfg), _count(cfg, "num_classes", 4),
+                                       rng=np.random.default_rng(seed)), cfg, "classifier_ckpt")
     return PipelineModels(masker=masker, ssae=ssae, classifier=clf, fec=CODECS[fec])
 
 
@@ -265,8 +251,7 @@ def _examples(cfg, seed):
     return [(ex.image, ex.label) for ex in _dataset(cfg, seed)]
 
 
-def cmd_evaluate(args):
-    cfg = parse_config(args.config)
+def cmd_evaluate(args, cfg):
     channel = ChannelConfig(mode="bsc_ber", ber=_get(cfg, "ber", 0.0), seed=0)
     rows = report(
         _examples(cfg, args.seed), _models(cfg, args.seed), read_config(RefineParams, cfg),
@@ -277,8 +262,7 @@ def cmd_evaluate(args):
     print(f"wrote {args.out} ({len(rows)} rows)")
 
 
-def cmd_sweep(args):
-    cfg = parse_config(args.config)
+def cmd_sweep(args, cfg):
     grid = [_parse("grid", v, float) for v in cfg.get("grid", "0,0.001,0.01,0.1").split(",")]
     _, csv = sweep(
         _examples(cfg, args.seed), grid, _models(cfg, args.seed), read_config(RefineParams, cfg),
@@ -293,57 +277,43 @@ def cmd_sweep(args):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="gscomm")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--out", required=True)
-
+    seed = _checked(int, lambda value: value >= 0, "must be at least 0")
     for name, func, text in (
         ("train-mae", cmd_train_mae, "distill the student masking network"),
         ("train-ssae", cmd_train_ssae, "train the semantic autoencoder"),
         ("finetune", cmd_finetune, "fine-tune the classifier head"),
+        ("encode", cmd_encode, "PPM image -> .gscf frame"),
+        ("decode", cmd_decode, ".gscf frame -> PPM image"),
+        ("transmit", cmd_transmit, "pass a frame through the channel"),
+        ("evaluate", cmd_evaluate, "per-image end-to-end report CSV"),
+        ("sweep", cmd_sweep, "BER/SNR grid sweep CSV"),
     ):
         p = sub.add_parser(name, help=text)
-        common(p)
-        p.add_argument("--log", default=None)
+        if name == "transmit":
+            p.set_defaults(config=None)  # the channel step reads no config
+        else:
+            p.add_argument("--config", default=None)
+        p.add_argument("--seed", type=seed, default=0)
+        p.add_argument("--out", required=True)
         p.set_defaults(func=func)
+    for name in ("train-mae", "train-ssae", "finetune"):
+        sub.choices[name].add_argument("--log", default=None)
+    for name in ("encode", "decode", "transmit"):
+        sub.choices[name].add_argument("--in", dest="input", required=True)
+    sub.choices["encode"].add_argument("--mask-out", dest="mask_out", default=None)
 
-    p = sub.add_parser("encode", help="PPM image -> .gscf frame")
-    common(p)
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--mask-out", dest="mask_out", default=None)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode", help=".gscf frame -> PPM image")
-    common(p)
-    p.add_argument("--in", dest="input", required=True)
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("transmit", help="pass a frame through the channel")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_seed, default=0)
+    p = sub.choices["transmit"]
     noise = p.add_mutually_exclusive_group()
     noise.add_argument("--ber", default=0.0,
-                       type=_noise_level(lambda ber: 0.0 <= ber <= 0.5, "must lie in [0, 0.5]"))
+                       type=_checked(float, lambda ber: 0.0 <= ber <= 0.5, "must lie in [0, 0.5]"))
     # inf is a noiseless channel; NaN noise would decide every bit 0
     noise.add_argument("--snr-db", dest="snr_db", default=None,
-                       type=_noise_level(lambda snr: not np.isnan(snr), "must be a number"),
+                       type=_checked(float, lambda snr: not np.isnan(snr), "must be a number"),
                        help="AWGN SNR in dB; write a value such as -inf or -1e1 as --snr-db=VALUE")
     p.add_argument("--fec", choices=sorted(CODECS), default="identity")
-    p.set_defaults(func=cmd_transmit)
 
-    p = sub.add_parser("evaluate", help="per-image end-to-end report CSV")
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="BER/SNR grid sweep CSV")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
+    parsed = parser.parse_args(argv)
+    return parsed.func(parsed, parse_config(parsed.config))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ SHAPE_NAMES = ("disk", "square", "triangle", "cross")
 @dataclass
 class SyntheticExample:
     image: np.ndarray  # (3, H, W) in [0, 1]
-    label: int
+    label: int | None  # None for an unlabeled image (the CLI's stl10_binary source)
     fg_mask: np.ndarray  # (H, W) ground-truth foreground support
 
 

@@ -7,6 +7,7 @@ student view additionally zeroes X random patches and applies color jitter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +31,20 @@ class DistillConfig:
     rho: float = 2e-3  # per-head binarization threshold of the semantic mask
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if math.isinf(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.proj_dim < 2:
             raise ValueError("projection dimension must be >= 2")
         if self.masked_patches < 0:
             raise ValueError("masked patch count must be >= 0")
         if not (0 < self.xi_lo <= self.xi_hi < 2):
             raise ValueError("xi_lo and xi_hi must satisfy 0 < xi_lo <= xi_hi < 2")
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValueError("rho must be non-negative")
+        if math.isinf(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho}")
 
 
 @dataclass
@@ -97,8 +102,10 @@ def project_head(cls_token, params, epsilon):
 
     Each token is its own 1-row product, so a batch rounds as one token at a time.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if math.isinf(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     *lead, c = cls_token.shape
     rows = cls_token.reshape(*lead, 1, c)
     # `rows` may be an array, whose `@` would not defer to the weight Tensor

@@ -25,6 +25,11 @@ class RefineParams:
     palette_size: int = 8  # F
     run_bits: int = 4  # L
 
+    def __post_init__(self):
+        # NaN would compare false against every attention weight and turn refinement off
+        if math.isnan(self.psi):
+            raise ValueError(f"psi must be a number, got {self.psi}")
+
 
 @dataclass
 class ReportRow:
@@ -193,6 +198,8 @@ class TrainBudget:
                 raise ValueError(f"{stage}_steps must be at least 0, got {steps}")
             if not lr > 0:
                 raise ValueError(f"{stage}_lr must be positive, got {lr}")
+            if math.isinf(lr):
+                raise ValueError(f"{stage}_lr must be finite, got {lr}")
 
 
 def train_masker(examples, vit_config, distill_config, budget, seed):

@@ -353,6 +353,13 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             ad.softmax(Tensor([1.0]), temperature=0.0)
 
+    @pytest.mark.parametrize("temperature, message", [
+        (np.nan, "temperature must be positive"), (np.inf, "temperature must be finite, got inf"),
+    ])
+    def test_nan_or_infinite_temperature(self, temperature, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ad.softmax(Tensor([1.0, 0.0]), temperature=temperature)
+
     def test_sums_to_one_100_random(self, rng):
         for _ in range(100):
             x = rng.standard_normal(rng.integers(2, 20)) * 10
@@ -393,6 +400,16 @@ class TestSgdStep:
     def test_bad_lr(self):
         with pytest.raises(ValueError):
             ad.sgd_step([], lr=0.0)
+
+    @pytest.mark.parametrize("lr, message", [
+        (np.nan, "lr must be positive"), (np.inf, "lr must be finite, got inf"),
+    ])
+    def test_nan_or_infinite_lr_leaves_parameters_unchanged(self, lr, message):
+        p = Parameter(np.array([1.0, -1.0]))
+        p.grad = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ad.sgd_step([p], lr=lr)
+        assert p.data.tolist() == [1.0, -1.0]
 
 
 class TestDeterminism:

@@ -101,6 +101,8 @@ class TestFinetune:
         ("steps", -3, "steps must be at least 0, got -3"),
         ("lr", 0.0, "lr must be positive, got 0.0"),
         ("lr", -1.0, "lr must be positive, got -1.0"),
+        ("lr", float("nan"), "lr must be positive, got nan"),
+        ("lr", float("inf"), "lr must be finite, got inf"),
     ])
     def test_negative_steps_and_non_positive_lr(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

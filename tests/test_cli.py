@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gscomm.channel import CODECS, ChannelConfig
-from gscomm.cli import KEYS, _models, main, parse_config, read_config
+from gscomm.checkpoint import save_params
+from gscomm.classifier import ClassifierModel
+from gscomm.cli import KEYS, _examples, _models, main, parse_config, read_config
 from gscomm.datasets import STL10_IMAGE_BYTES, read_ppm, write_ppm
 from gscomm.distill import DistillConfig
 from gscomm.framing import bits_to_bytes, bytes_to_bits, parse_frame
@@ -139,6 +141,20 @@ def test_readme_cli_block_names_every_subcommand(capsys):
     assert set(re.findall(r"^gscomm ([\w-]+)", cli_block, re.M)) == registered
 
 
+README_CLI_LINES = (
+    README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+).splitlines()
+
+
+@pytest.mark.parametrize("line", README_CLI_LINES, ids=lambda line: line.split()[1])
+def test_readme_cli_block_lists_each_subcommands_options(capsys, line):
+    command = line.split()[1]
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    registered = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert set(re.findall(r"--[\w-]+", line)) | {"--seed", "--help"} == registered
+
+
 def test_readme_holds_one_python_example():
     # CI concatenates every python block of the README and runs the result
     assert README.read_text().splitlines().count("```python") == 1
@@ -247,6 +263,15 @@ def test_trainer_with_zero_steps(tmp_path, tiny_config, capsys, command, steps_k
     assert capsys.readouterr().out == f"wrote {ckpt} (no steps)\n"
 
 
+def test_train_mae_rejects_nan_epsilon(tmp_path, tiny_config):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(tiny_config.read_text() + "epsilon = nan\n")
+    ckpt = tmp_path / "mae.ckpt"
+    with pytest.raises(ValueError, match="^epsilon must be positive$"):
+        main(["train-mae", "--config", str(cfg), "--out", str(ckpt)])
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("command, steps_key", [
     ("train-mae", "distill_steps"), ("train-ssae", "ssae_steps"), ("finetune", "finetune_steps"),
 ])
@@ -340,6 +365,33 @@ def test_stl10_limit_below_one_rejected(tmp_path):
                    "img_h = 96\nimg_w = 96\n")
     with pytest.raises(ValueError, match="^limit must be at least 1, got 0$"):
         main(["train-ssae", "--config", str(cfg), "--out", str(tmp_path / "ssae.ckpt")])
+
+
+def test_stl10_images_are_unlabeled(tmp_path):
+    data = tmp_path / "three.bin"
+    data.write_bytes(np.random.default_rng(0).integers(0, 256, 3 * STL10_IMAGE_BYTES, np.uint8))
+    geometry = ("patch_size = 16\ndim = 16\nblocks = 1\nheads = 2\nimg_h = 96\nimg_w = 96\n"
+                "proj_dim = 8\ndowns = 2\nstem_channels = 8\nnum_classes = 2\n")
+    vit = ViTConfig(patch_size=16, dim=16, blocks=1, heads=2, img_h=96, img_w=96)
+    clf = tmp_path / "clf.ckpt"
+    save_params(clf, ClassifierModel(vit, 2, rng=np.random.default_rng(0)).params)
+    cfg = tmp_path / "stl.cfg"
+    cfg.write_text(geometry + f"dataset = stl10_binary\ndataset_path = {data}\nlimit = 3\n"
+                   f"classifier_ckpt = {clf}\n")
+    assert [label for _, label in _examples(parse_config(cfg), 0)] == [None, None, None]
+
+    # evaluate classifies every image but scores none
+    report = tmp_path / "report.csv"
+    main(["evaluate", "--config", str(cfg), "--out", str(report)])
+    header, *rows = report.read_text().splitlines()
+    column = header.split(",").index("accuracy")
+    assert [row.split(",")[column] for row in rows] == ["nan"] * 3
+
+    ckpt = tmp_path / "ft.ckpt"
+    with pytest.raises(ValueError, match="^dataset = stl10_binary has no labels; "
+                                         "finetune needs labeled images$"):
+        main(["finetune", "--config", str(cfg), "--out", str(ckpt)])
+    assert not ckpt.exists()
 
 
 def test_stl10_without_dataset_path_rejected(tmp_path):

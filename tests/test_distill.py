@@ -89,10 +89,28 @@ class TestProjectHead:
         with pytest.raises(ValueError):
             project_head(rng.random(16), student.params, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon, message", [
+        (np.nan, "epsilon must be positive"), (np.inf, "epsilon must be finite, got inf"),
+    ])
+    def test_nan_or_infinite_epsilon(self, student, rng, epsilon, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            project_head(rng.random(16), student.params, epsilon=epsilon)
+
     def test_q_is_distribution(self, student, rng):
         out = student.project(rng.random((3, 16, 16)))
         assert np.all(out.q.data >= 0)
         assert abs(out.q.data.sum() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon", np.nan, "epsilon must be positive"),
+    ("epsilon", np.inf, "epsilon must be finite, got inf"),
+    ("rho", np.nan, "rho must be non-negative"),
+    ("rho", np.inf, "rho must be finite, got inf"),
+])
+def test_distill_config_rejects_nan_and_infinite_values(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DistillConfig(**{field: value})
 
 
 class TestDistillLoss:

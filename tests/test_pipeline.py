@@ -217,10 +217,18 @@ def test_train_budget_batch_size_below_one(batch_size):
     ("distill_lr", 0.0, "distill_lr must be positive, got 0.0"),
     ("ssae_lr", -0.5, "ssae_lr must be positive, got -0.5"),
     ("finetune_lr", math.nan, "finetune_lr must be positive, got nan"),
+    ("distill_lr", math.inf, "distill_lr must be finite, got inf"),
+    ("ssae_lr", math.inf, "ssae_lr must be finite, got inf"),
+    ("finetune_lr", math.inf, "finetune_lr must be finite, got inf"),
 ])
 def test_train_budget_rejects_negative_steps_and_non_positive_lr(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TrainBudget(**{field: value})
+
+
+def test_refine_params_rejects_nan_psi():
+    with pytest.raises(ValueError, match="^psi must be a number, got nan$"):
+        RefineParams(psi=math.nan)
 
 
 @pytest.mark.parametrize("model", [
