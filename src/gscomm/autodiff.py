@@ -93,9 +93,6 @@ class Tensor:
                 if p.requires_grad:
                     p._accumulate(_unbroadcast(grad(node.grad), p.data.shape))
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 
@@ -105,39 +102,27 @@ class Tensor:
         other = _as_tensor(other)
         return _op(self.data + other.data, (self, other), (lambda g: g, lambda g: g))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         other = _as_tensor(other)
         return _op(self.data - other.data, (self, other), (lambda g: g, lambda g: -g))
-
-    def __rsub__(self, other):
-        return _as_tensor(other).__sub__(self)
 
     def __mul__(self, other):
         other = _as_tensor(other)
         return _op(self.data * other.data, (self, other),
                    (lambda g: g * other.data, lambda g: g * self.data))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __neg__(self):
         return _op(-self.data, (self,), (lambda g: -g,))
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported")
-        return self * (1.0 / float(other))
+        return self * (1.0 / float(other))  # float() raises TypeError for a Tensor divisor
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return _op(self.data.reshape(shape), (self,), (lambda g: g.reshape(self.data.shape),))
+        """Takes reshape(2, 6) and reshape((2, 6)), like ndarray.reshape."""
+        return _op(self.data.reshape(*shape), (self,), (lambda g: g.reshape(self.data.shape),))
 
     def transpose(self, *axes):
         """Permute the axes (reverse them when none are given), like ndarray.transpose."""
@@ -436,4 +421,4 @@ def sgd_step(params, lr):
 
 def zero_grads(params):
     for p in params:
-        p.zero_grad()
+        p.grad = None

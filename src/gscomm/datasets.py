@@ -44,7 +44,9 @@ def _shape_support(kind, size, rng):
 
 def make_synthetic_example(label, size, rng):
     """One shape image: shaded foreground over a textured background."""
-    kind = SHAPE_NAMES[label % len(SHAPE_NAMES)]
+    if not 0 <= label < len(SHAPE_NAMES):
+        raise ValueError(f"label must lie in [0, {len(SHAPE_NAMES)}), got {label}")
+    kind = SHAPE_NAMES[label]
     h = w = size
     support = _shape_support(kind, size, rng)
 
@@ -68,7 +70,9 @@ def make_synthetic_example(label, size, rng):
 
 
 def synthetic_dataset(num_classes, per_class, size, seed):
-    """Deterministic list of SyntheticExamples, classes interleaved."""
+    """Deterministic list of SyntheticExamples, classes interleaved; one shape per class."""
+    if not 1 <= num_classes <= len(SHAPE_NAMES):
+        raise ValueError(f"num_classes must lie in [1, {len(SHAPE_NAMES)}], got {num_classes}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(per_class):
@@ -81,6 +85,8 @@ def load_stl10_binary(path, limit):
     """The first `limit` images of an STL-10 binary file (channel-major, column-major planes)."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if not blob:
+        raise DatasetFormatError(f"STL-10 file {path} is empty")
     if len(blob) % STL10_IMAGE_BYTES:
         raise DatasetFormatError(
             "STL-10 file length is not a multiple of the 27648-byte record",

@@ -36,9 +36,9 @@ class DistillConfig:
         if math.isinf(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.proj_dim < 2:
-            raise ValueError("projection dimension must be >= 2")
+            raise ValueError(f"proj_dim must be at least 2, got {self.proj_dim}")
         if self.masked_patches < 0:
-            raise ValueError("masked patch count must be >= 0")
+            raise ValueError(f"masked_patches must be at least 0, got {self.masked_patches}")
         if not (0 < self.xi_lo <= self.xi_hi < 2):
             raise ValueError("xi_lo and xi_hi must satisfy 0 < xi_lo <= xi_hi < 2")
         if not self.rho >= 0:
@@ -102,10 +102,6 @@ def project_head(cls_token, params, epsilon):
 
     Each token is its own 1-row product, so a batch rounds as one token at a time.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if math.isinf(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
     *lead, c = cls_token.shape
     rows = cls_token.reshape(*lead, 1, c)
     # `rows` may be an array, whose `@` would not defer to the weight Tensor
@@ -134,9 +130,7 @@ def color_jitter(image, brightness, contrast, saturation):
 
     A factor of exactly 1.0 leaves its stage bit-identical.
     """
-    out = np.asarray(image, dtype=np.float64)
-    if brightness != 1.0:
-        out = out * brightness
+    out = np.asarray(image, dtype=np.float64) * brightness
     if contrast != 1.0:
         mean = float((LUMA @ out.reshape(3, -1)).mean())
         out = mean + (out - mean) * contrast

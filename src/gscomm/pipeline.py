@@ -3,6 +3,8 @@ refine -> classify, with per-image reports and grid sweeps."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -122,10 +124,13 @@ def _fmt(x):
 
 
 def _csv(columns, rows):
-    """Header line, then one line per row; each row maps column name -> value."""
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(r[c]) for c in columns) for r in rows]
-    return "\n".join(lines) + "\n"
+    """Header line, then one line per row; each row maps column name -> value. A field
+    holding a comma or a quote (a failure message may) is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(r[c]) for c in columns] for r in rows)
+    return out.getvalue()
 
 
 def report_csv(rows):

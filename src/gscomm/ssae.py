@@ -24,9 +24,11 @@ class SSAEConfig:
 
     def __post_init__(self):
         if not 1 <= self.bits <= 16:
-            raise ValueError("bits must lie in [1, 16]")
-        if self.downs < 0 or self.latent_channels < 1:
-            raise ValueError("invalid channel/downs configuration")
+            raise ValueError(f"bits must lie in [1, 16], got {self.bits}")
+        if self.downs < 0:
+            raise ValueError(f"downs must be at least 0, got {self.downs}")
+        if self.latent_channels < 1:
+            raise ValueError(f"latent_channels must be at least 1, got {self.latent_channels}")
         if self.stem_channels < 1:
             raise ValueError(f"stem_channels must be at least 1, got {self.stem_channels}")
 
@@ -98,11 +100,9 @@ class SSAE:
         return ad.relu(ad.batchnorm(self._conv(x, name), stats, training))
 
     def encode(self, image, training=False):
-        """Image(s) -> latent Tensor in [0,1]."""
-        x = image if isinstance(image, Tensor) else Tensor(image)
-        h, w = x.data.shape[-2:]
-        self.config.latent_shape(h, w)  # validates divisibility
-        x = self._block(x, "enc.stem", training)
+        """Image(s), arrays or Tensors, -> latent Tensor in [0,1]."""
+        self.config.latent_shape(*image.shape[-2:])  # validates divisibility
+        x = self._block(image, "enc.stem", training)
         for d in range(self.config.downs):
             x = self._block(ad.maxpool2(x), f"enc.down{d}", training)
         return ad.sigmoid(self._conv(x, "enc.out"))
@@ -114,8 +114,7 @@ class SSAE:
 
     def decode_latent(self, latent, training=False):
         """Latent Tensor/array -> reconstructed image Tensor in [0,1]."""
-        x = latent if isinstance(latent, Tensor) else Tensor(latent)
-        x = self._block(x, "dec.in", training)
+        x = self._block(latent, "dec.in", training)
         for d in range(self.config.downs):
             x = self._block(ad.upsample_nearest2(x), f"dec.up{d}", training)
         return ad.sigmoid(self._conv(x, "dec.out"))
@@ -185,7 +184,9 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
         d2 = np.minimum(d2, ((chans - centers[i][:, None]) ** 2).sum(axis=0))
 
     # a draw with total > 0 picks a colour not yet seeded, so at most F distinct colours
-    # leave d2 all zero (as do two colours closer than about 1e-154, hence the count)
+    # leave d2 all zero (as do two colours closer than about 1e-154, hence the count).
+    # The shortcut is load-bearing: Lloyd's mean of identical colours can come out an ulp
+    # or so off the colour, and Lloyd can then cycle to its iteration cap.
     if not d2.any():
         uniq = np.unique(pixels, axis=0)
         if uniq.shape[0] <= num_colors:

@@ -26,10 +26,12 @@ class ViTConfig:
         for name in ("patch_size", "dim", "blocks", "heads", "img_h", "img_w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.img_h % self.patch_size or self.img_w % self.patch_size:
-            raise ValueError("image extents must be multiples of the patch size")
+        for name in ("img_h", "img_w"):
+            if getattr(self, name) % self.patch_size:
+                raise ValueError(f"{name} must be a multiple of patch_size {self.patch_size}, "
+                                 f"got {getattr(self, name)}")
         if self.dim % self.heads:
-            raise ValueError("token dimension must be divisible by the head count")
+            raise ValueError(f"dim must be a multiple of heads {self.heads}, got {self.dim}")
 
     @property
     def num_patches(self):

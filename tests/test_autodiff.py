@@ -506,7 +506,6 @@ class TestReductions:
 # name -> (op, input shape)
 TENSOR_METHOD_CASES = {
     "neg": (lambda x: -x, (3, 4)),
-    "constant_minus": (lambda x: 2.0 - x, (3, 4)),
     "swapaxes": (lambda x: x.swapaxes(0, 2), (2, 3, 4)),
     "repeated_fancy_index": (lambda x: x[[0, 0, 2]], (3, 4)),
     "sum_over_axis_tuple": (lambda x: x.sum(axis=(0, 2)), (2, 3, 4)),

@@ -7,10 +7,11 @@ import pytest
 
 from gscomm.channel import CODECS, ChannelConfig
 from gscomm.checkpoint import save_params
-from gscomm.classifier import ClassifierModel
+from gscomm.classifier import ClassifierConfig, ClassifierModel
 from gscomm.cli import KEYS, _examples, _models, main, parse_config, read_config
 from gscomm.datasets import STL10_IMAGE_BYTES, read_ppm, write_ppm
 from gscomm.distill import DistillConfig
+from gscomm.errors import DatasetFormatError
 from gscomm.framing import bits_to_bytes, bytes_to_bits, parse_frame
 from gscomm.pipeline import RefineParams, TrainBudget, receive, run_end_to_end, transmit
 from gscomm.ssae import SSAEConfig
@@ -104,6 +105,24 @@ def test_read_config_sets_exactly_the_documented_keys(written):
 
 def test_documented_keys_are_the_dataclass_fields():
     assert set(DOCUMENTED) == {f.name for written in WRITTEN for f in fields(written)}
+
+
+@pytest.mark.parametrize("cls, key, value, message", [
+    (DistillConfig, "proj_dim", 1, "must be at least 2, got 1"),
+    (DistillConfig, "masked_patches", -1, "must be at least 0, got -1"),
+    (SSAEConfig, "bits", 0, "must lie in [1, 16], got 0"),
+    (SSAEConfig, "bits", 17, "must lie in [1, 16], got 17"),
+    (SSAEConfig, "downs", -1, "must be at least 0, got -1"),
+    (SSAEConfig, "latent_channels", 0, "must be at least 1, got 0"),
+    (ClassifierConfig, "num_classes", 1, "must be at least 2, got 1"),
+    (ViTConfig, "img_h", 20, "must be a multiple of patch_size 8, got 20"),
+    (ViTConfig, "img_w", 36, "must be a multiple of patch_size 8, got 36"),
+    (ViTConfig, "dim", 30, "must be a multiple of heads 4, got 30"),
+])
+def test_config_error_names_its_key_and_value(cls, key, value, message):
+    with pytest.raises(ValueError) as exc:
+        cls(**{key: value})
+    assert str(exc.value) == f"{key} {message}"
 
 
 def _readme_key_table():
@@ -401,6 +420,18 @@ def test_stl10_without_dataset_path_rejected(tmp_path):
     with pytest.raises(ValueError, match="^dataset = stl10_binary needs the key dataset_path$"):
         main(["train-ssae", "--config", str(cfg), "--out", str(ckpt)])
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["train-ssae", "evaluate"])
+def test_empty_stl10_file_rejected(tmp_path, command):
+    data = tmp_path / "empty.bin"
+    data.write_bytes(b"")
+    cfg = tmp_path / "stl.cfg"
+    cfg.write_text(f"dataset = stl10_binary\ndataset_path = {data}\nimg_h = 96\nimg_w = 96\n")
+    out = tmp_path / "out"
+    with pytest.raises(DatasetFormatError, match=f"^STL-10 file {re.escape(str(data))} is empty$"):
+        main([command, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, line, message", [

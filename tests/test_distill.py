@@ -90,7 +90,7 @@ class TestProjectHead:
             project_head(rng.random(16), student.params, epsilon=0.0)
 
     @pytest.mark.parametrize("epsilon, message", [
-        (np.nan, "epsilon must be positive"), (np.inf, "epsilon must be finite, got inf"),
+        (np.nan, "temperature must be positive"), (np.inf, "temperature must be finite, got inf"),
     ])
     def test_nan_or_infinite_epsilon(self, student, rng, epsilon, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

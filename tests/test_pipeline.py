@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from gscomm.datasets import (
 )
 from gscomm.distill import DistillConfig, MaskingNetwork
 from gscomm.errors import DatasetFormatError, UndefinedMetricError
-from gscomm.framing import parse_frame
+from gscomm.framing import bytes_to_bits, parse_frame
 from gscomm.masking import SemanticMask, apply_mask
 from gscomm.metrics import masked_psnr
 from gscomm.pipeline import (
@@ -63,6 +65,19 @@ class TestSyntheticDataset:
         for xa, xb in zip(a, b):
             assert np.array_equal(xa.image, xb.image)
             assert np.array_equal(xa.fg_mask, xb.fg_mask)
+
+    @pytest.mark.parametrize("num_classes", [0, 5, 6])
+    def test_num_classes_outside_the_shapes_rejected(self, num_classes):
+        # a fifth class would reuse the first class's shape
+        message = re.escape(f"num_classes must lie in [1, 4], got {num_classes}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synthetic_dataset(num_classes, 1, 16, seed=0)
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_label_outside_the_shapes_rejected(self, label):
+        message = re.escape(f"label must lie in [0, 4), got {label}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_synthetic_example(label, 16, np.random.default_rng(0))
 
     def test_foreground_not_flat(self):
         # gradient shading means masked pixels are not a constant
@@ -330,7 +345,7 @@ class TestCheckpoint:
 
 @dataclass
 class FlipBit(ChannelConfig):
-    """A channel that flips one fixed bit position whatever the seed."""
+    """A channel that flips fixed bit positions (an index or a list) whatever the seed."""
 
     bit: int = 0
 
@@ -458,6 +473,16 @@ class TestReportAndSweep:
         assert lines[0].startswith("payload_bits,measured_ber")
         assert len(lines) == 2
         assert len(lines[1].split(",")) == len(lines[0].split(","))
+
+    def test_report_csv_quotes_a_failure_holding_a_comma(self, small_models, rng):
+        # five flipped bits turn the magic's "G" into ","
+        flips = np.flatnonzero(bytes_to_bits(bytes([ord("G") ^ ord(",")])))
+        _, _, row = run_end_to_end(rng.random((3, 32, 32)), small_models, RefineParams(),
+                                   FlipBit(bit=list(flips)), seed=0)
+        assert row.failure == "bad magic b',SCF'"
+        header, line = csv.reader(io.StringIO(report_csv([row])))
+        assert len(header) == len(line) == 6
+        assert line[-1] == row.failure
 
     def test_sweep_rows_and_determinism(self, small_models, rng):
         examples = [(rng.random((3, 32, 32)), i % 2) for i in range(2)]

@@ -404,6 +404,17 @@ class TestKmeans:
             centers, assign = kmeans_palette(pixels, f, trial)
             assert np.array_equal(centers, want[0]) and np.array_equal(assign, want[1])
 
+    def test_at_most_f_colours_are_reproduced_exactly(self, rng):
+        # without the <= F-colour shortcut, Lloyd's means of identical colours can land
+        # an ulp or so off them; fewer pixels than F are covered too
+        for trial in range(300):
+            f = int(rng.integers(2, 33))
+            colors = rng.random((int(rng.integers(1, f + 1)), 3))
+            pixels = colors[rng.integers(0, len(colors), int(rng.integers(1, 3 * f)))]
+            centers, assign, history = kmeans_palette(pixels, f, trial, return_inertia=True)
+            assert np.array_equal(centers[assign], pixels)
+            assert history == [0.0]
+
     def test_empty_cluster_reseed_matches_reference(self):
         # found by search: cluster 1 loses every member and is re-seeded
         pixels = np.random.default_rng(4903).random((12, 3)) ** 4
