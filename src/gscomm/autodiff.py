@@ -2,7 +2,9 @@
 
 Tensors wrap float64 numpy arrays and record a computation graph; calling
 ``backward()`` on a scalar propagates gradients to every reachable leaf
-whose ``requires_grad`` flag is set. Single-threaded per graph.
+whose ``requires_grad`` flag is set. Single-threaded per graph. Inside
+``with no_grad():`` every op returns a leaf and records nothing; the flag is
+process-wide, like the rest of the engine.
 
 An op is its value plus one local gradient per parent: a function from the
 node's gradient to that parent's share (a vector-Jacobian product). Every op
@@ -22,6 +24,7 @@ bilinear resize of the attention maps lives in ``masking``, its one caller.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -29,6 +32,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Parameter",
+    "no_grad",
     "conv2d",
     "maxpool2",
     "upsample_nearest2",
@@ -183,13 +187,28 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_recording = True  # off inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block return leaves: no graph, and no gradient to any input."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _op(data, parents, grads):
     """The node holding `data`, an op's value on the tensors `parents`; grads[i] maps
     the node's gradient g to parents[i]'s share, which backward() sums back to that
-    parent's shape (see _unbroadcast) and adds in."""
+    parent's shape (see _unbroadcast) and adds in. A leaf under no_grad()."""
     out = Tensor(data)
-    out._parents, out._grads = parents, grads
-    out.requires_grad = any(p.requires_grad for p in parents)
+    if _recording:
+        out._parents, out._grads = parents, grads
+        out.requires_grad = any(p.requires_grad for p in parents)
     return out
 
 
@@ -255,9 +274,10 @@ def conv2d(x, kernel, stride=1, padding=0):
 
     unpadded(xp)[...] = x.data.reshape(b, c_in, h, w)
     sb, sc, s1 = xp.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xp, (b, c_in, kh, kw, span), (sb, sc, wp * s1, s1, stride * s1), writeable=False
-    )
+    # a view of xp; np.ndarray checks that its strides stay inside the buffer
+    cols = np.ndarray((b, c_in, kh, kw, span), xp.dtype, xp, 0,
+                      (sb, sc, wp * s1, s1, stride * s1))
+    cols.flags.writeable = False
     grid = kernel.data.reshape(c_out, -1) @ cols.reshape(b, c_in * kh * kw, span)
     grid = grid.reshape(b, c_out, h_out, wp)[..., :w_out]
 
@@ -289,22 +309,29 @@ def conv2d(x, kernel, stride=1, padding=0):
 
 def maxpool2(x):
     """2x2 max pooling over the last two axes; gradient routes to the first argmax
-    in row-major window order."""
+    in row-major window order (the first NaN, if any)."""
     x = _as_tensor(x)
     *lead, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 requires even extents, got {h}x{w}")
-    win = x.data.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
-    flat = win.reshape(*lead, h // 2, w // 2, 4)
-    arg = flat.argmax(axis=-1)  # first occurrence on ties, window row-major
+    corners = [(i, j) for i in (0, 1) for j in (0, 1)]  # window row-major order
+    out = x.data[..., 0::2, 0::2]
+    for i, j in corners[1:]:
+        # np.maximum returns its second operand on a tie (+0.0 vs -0.0), so the
+        # earlier corner wins as it does under argmax; a NaN propagates
+        out = np.maximum(x.data[..., i::2, j::2], out)
 
     def grad(g):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
-        gwin = gflat.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(-3, -2)
-        return gwin.reshape(x.data.shape)
+        gx = np.empty_like(x.data)
+        taken = np.zeros(out.shape, dtype=bool)
+        for i, j in corners:
+            c = x.data[..., i::2, j::2]
+            hit = ((c == out) | (c != c)) & ~taken
+            taken |= hit
+            gx[..., i::2, j::2] = np.where(hit, g, 0.0)
+        return gx
 
-    return _op(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], (x,), (grad,))
+    return _op(out, (x,), (grad,))
 
 
 def upsample_nearest2(x):
@@ -333,7 +360,7 @@ def _normalize(x, axes, eps):
     """(x - mean) / sqrt(var + eps) over `axes`; returns the Tensor and the batch
     mean and variance, with the reduced axes kept."""
     n = math.prod(x.data.shape[a] for a in axes)
-    mu = x.data.mean(axis=axes, keepdims=True)
+    mu = x.data.sum(axis=axes, keepdims=True) / n  # what np.mean computes
     xc = x.data - mu
     var = (xc * xc).sum(axis=axes, keepdims=True) / n  # what np.var computes
     inv = 1.0 / np.sqrt(var + eps)
@@ -367,7 +394,8 @@ def batchnorm(x, stats, training=True):
         stats[...] = BN_MOMENTUM * stats + (1 - BN_MOMENTUM) * np.stack([mu.ravel(), var.ravel()])
         return out
     mean, var = stats[:, :, None, None]
-    return (x - mean) * (1.0 / np.sqrt(var + NORM_EPS))
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    return _op((x.data - mean) * inv, (x,), (lambda g: g * inv,))
 
 
 def softmax(x, temperature=1.0):

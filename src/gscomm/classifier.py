@@ -66,7 +66,8 @@ class ClassifierModel:
 
 def classify(image, model):
     """Forward pass to a Prediction (softmax at temperature 1)."""
-    probs = ad.softmax(model.logits(image)).data
+    with ad.no_grad():
+        probs = ad.softmax(model.logits(image)).data
     return Prediction(probs=probs, label=int(probs.argmax()))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, _clamp_min
 from .masking import apply_mask, build_semantic_mask, cls_attention_maps
-from .vit import init_vit_params, vit_forward
+from .vit import final_attention, init_vit_params, vit_forward
 
 LOG_FLOOR = 1e-12
 LUMA = np.array([0.299, 0.587, 0.114])
@@ -88,7 +88,8 @@ class MaskingNetwork:
 
     def semantic_mask(self, image, rho=None):
         """The mask at binarization threshold `rho`, by default the config's."""
-        _, attention = vit_forward(image, self.vit_config, self.params)
+        with ad.no_grad():
+            attention = final_attention(image, self.vit_config, self.params)
         maps = cls_attention_maps(attention, self.vit_config)
         return build_semantic_mask(
             maps,
@@ -174,7 +175,8 @@ def make_views(image, teacher, config, rng):
 def train_step_distill(student, teacher, batch, config, lr, rng):
     """One distillation step over a batch, as one graph; returns the mean loss."""
     views = make_views(np.stack(batch), teacher, config, rng)
-    q_t = teacher.project(views.teacher_view).q.data
+    with ad.no_grad():  # no step differentiates the teacher
+        q_t = teacher.project(views.teacher_view).q.data
     q_s = student.project(views.student_view).q
     losses = distill_loss(q_t, q_s)
     losses.mean().backward()

@@ -3,6 +3,7 @@ head-sum, bilinear upsampling (``bilinear_resize``), and mask application."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +33,9 @@ def cls_attention_maps(attention, config):
     return attention[..., 0, 1:].reshape(*attention.shape[:-2], *config.grid)
 
 
-def bilinear_resize(grid, target):
-    """Corner-aligned bilinear interpolation of the last two axes to (H, W). Plain numpy."""
-    grid = np.asarray(grid, dtype=np.float64)
-    h, w = grid.shape[-2:]
-    H, W = target
-    if min(h, w, H, W) < 1:
-        raise ValueError("extents must be >= 1")
+@functools.lru_cache(maxsize=64)
+def _bilinear_taps(h, w, H, W):
+    """Read-only source rows/columns and weights of an (h, w) -> (H, W) resize."""
     ys = np.linspace(0.0, h - 1.0, H)
     xs = np.linspace(0.0, w - 1.0, W)
     y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
@@ -47,11 +44,24 @@ def bilinear_resize(grid, target):
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    y0, y1 = y0[:, None], y1[:, None]
+    taps = (y0[:, None], y1[:, None], x0, x1, fy, 1 - fy, fx, 1 - fx)
+    for a in taps:
+        a.flags.writeable = False
+    return taps
+
+
+def bilinear_resize(grid, target):
+    """Corner-aligned bilinear interpolation of the last two axes to (H, W). Plain numpy."""
+    grid = np.asarray(grid, dtype=np.float64)
+    h, w = grid.shape[-2:]
+    H, W = target
+    if min(h, w, H, W) < 1:
+        raise ValueError("extents must be >= 1")
+    y0, y1, x0, x1, fy, gy, fx, gx = _bilinear_taps(h, w, H, W)  # g = 1 - f
     return (
-        grid[..., y0, x0] * (1 - fy) * (1 - fx)
-        + grid[..., y0, x1] * (1 - fy) * fx
-        + grid[..., y1, x0] * fy * (1 - fx)
+        grid[..., y0, x0] * gy * gx
+        + grid[..., y0, x1] * gy * fx
+        + grid[..., y1, x0] * fy * gx
         + grid[..., y1, x1] * fy * fx
     )
 

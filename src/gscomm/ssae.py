@@ -109,7 +109,8 @@ class SSAE:
 
     def encode_quantize(self, image):
         """Inference path: encode and quantize one image."""
-        latent = self.encode(image, training=False).data
+        with ad.no_grad():
+            latent = self.encode(image, training=False).data
         return latent, quantize(latent, self.config.bits)
 
     def decode_latent(self, latent, training=False):
@@ -121,7 +122,8 @@ class SSAE:
 
     def decode(self, quantized):
         """Receiver path: dequantize and decode one QuantizedLatent."""
-        return self.decode_latent(dequantize(quantized), training=False).data
+        with ad.no_grad():
+            return self.decode_latent(dequantize(quantized), training=False).data
 
     def train_step(self, images, masks3, lr):
         """One step on a batch of (image, 3-channel mask) pairs.
@@ -148,12 +150,12 @@ class SSAE:
 
 
 def _sq_distances(chans, centers, diff=None, out=None):
-    """(n, F) squared distances from (3, n) channel-major pixels to (F, 3) centres.
+    """(F, n) squared distances from (3, n) channel-major pixels to (F, 3) centres.
 
     The channels add as c0 + c1, then + c2, the order `.sum(axis=0)` takes.
-    `diff` ([3, n, F]) and `out` ([n, F]) are optional work buffers.
+    `diff` ([3, F, n]) and `out` ([F, n]) are optional work buffers.
     """
-    diff = np.subtract(chans[:, :, None], centers.T[:, None, :], out=diff)
+    diff = np.subtract(chans[:, None, :], centers.T[:, :, None], out=diff)
     np.square(diff, out=diff)
     out = np.add(diff[0], diff[1], out=out)
     return np.add(out, diff[2], out=out)
@@ -170,18 +172,23 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
     if n < 1 or num_colors < 1:
         raise ValueError("need at least one pixel and one cluster")
     chans = np.ascontiguousarray(pixels.T)  # (3, n), whatever the input layout
+    # work buffers: row k of d holds the distances to centre k
+    diff, d = np.empty((3, num_colors, n)), np.empty((num_colors, n))
+    centers = np.empty((num_colors, 3))
+
+    def seed_distances(i):  # row i of d, from centre i alone
+        return _sq_distances(chans, centers[i : i + 1], diff[:, i : i + 1], d[i : i + 1])[0]
 
     rng = np.random.default_rng(seed)
-    centers = np.empty((num_colors, 3))
     centers[0] = pixels[rng.integers(n)]
-    d2 = ((chans - centers[0][:, None]) ** 2).sum(axis=0)
+    d2 = seed_distances(0).copy()
     for i in range(1, num_colors):
         total = d2.sum()
         if total <= 0:
             centers[i] = pixels[rng.integers(n)]
         else:
             centers[i] = pixels[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((chans - centers[i][:, None]) ** 2).sum(axis=0))
+        np.minimum(d2, seed_distances(i), out=d2)
 
     # a draw with total > 0 picks a colour not yet seeded, so at most F distinct colours
     # leave d2 all zero (as do two colours closer than about 1e-154, hence the count).
@@ -191,7 +198,7 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
         uniq = np.unique(pixels, axis=0)
         if uniq.shape[0] <= num_colors:
             centers = np.vstack([uniq, np.repeat(uniq[-1:], num_colors - uniq.shape[0], axis=0)])
-            assign = _sq_distances(chans, centers).argmin(axis=1)
+            assign = _sq_distances(chans, centers).argmin(axis=0)
             if return_inertia:
                 return centers, assign, [0.0]
             return centers, assign
@@ -199,26 +206,26 @@ def kmeans_palette(pixels, num_colors, seed, return_inertia=False):
     assign = None
     history = []
     rows = np.arange(n)
-    diff, d = np.empty((3, n, num_colors)), np.empty((n, num_colors))
+    bins = np.empty((3, n), dtype=np.intp)
     offsets = (num_colors * np.arange(3))[:, None]  # bin k + F*c sums channel c of cluster k
-    for _ in range(50):
-        _sq_distances(chans, centers, diff, d)
-        new_assign = d.argmin(axis=1)
+    for _ in range(50):  # d holds the distances to `centers`, at first from the seeding
+        new_assign = d.argmin(axis=0)
         if return_inertia:
-            history.append(float(d[rows, new_assign].sum()))
-        if assign is not None and np.array_equal(new_assign, assign):
+            history.append(float(d[new_assign, rows].sum()))
+        if assign is not None and new_assign.tobytes() == assign.tobytes():
             break
         assign = new_assign
         # bincount adds members in pixel order: the same floats as each cluster's mean
         counts = np.bincount(assign, minlength=num_colors)
-        sums = np.bincount((assign + offsets).ravel(), weights=chans.ravel(),
+        sums = np.bincount(np.add(assign, offsets, out=bins).ravel(), weights=chans.ravel(),
                            minlength=3 * num_colors).reshape(3, num_colors)
         if counts.all():
-            centers[:] = (sums / counts).T
+            np.divide(sums, counts, out=centers.T)
         else:
             full = counts > 0
             centers[full] = (sums[:, full] / counts[full]).T
-            centers[~full] = pixels[d[rows, assign].argmax()]
+            centers[~full] = pixels[d[assign, rows].argmax()]
+        _sq_distances(chans, centers, diff, d)
     if return_inertia:
         return centers, assign, history
     return centers, assign
@@ -253,12 +260,8 @@ def rle_encode(indices, num_colors, run_bits):
     last = np.cumsum(pieces) - 1
     runs = np.full(pieces.sum(), max_run)
     runs[last] = lengths - max_run * (pieces - 1)
-    values = np.repeat(indices[starts], pieces)
-    fields = np.hstack([
-        values[:, None] >> np.arange(ib - 1, -1, -1),
-        (runs - 1)[:, None] >> np.arange(run_bits - 1, -1, -1),
-    ])
-    return (fields & 1).astype(np.uint8).ravel()
+    words = (np.repeat(indices[starts], pieces) << run_bits) | (runs - 1)
+    return ((words[:, None] >> np.arange(ib + run_bits - 1, -1, -1)) & 1).astype(np.uint8).ravel()
 
 
 def rle_decode(bits, count, num_colors, run_bits):
@@ -356,7 +359,8 @@ def plan_refinement(image, reconstruction, mask, psi, eta, palette_size, run_bit
     centers, _ = kmeans_palette(pixels, palette_size, seed)
     palette = np.clip(np.rint(centers * 255.0), 0, 255).astype(np.uint8)
     # assign against the byte-quantized palette so receiver-side fills are exact
-    indices = _sq_distances(pixels.T * 255.0, palette.astype(np.float64)).argmin(axis=1)
+    indices = _sq_distances(np.ascontiguousarray(pixels.T) * 255.0,
+                            palette.astype(np.float64)).argmin(axis=0)
     rle_bits = rle_encode(indices, palette_size, run_bits)
     return RefinementPlan(t_prime=t_prime, flags=flags, palette=palette, run_bits=run_bits,
                           rle_bits=rle_bits, patch_size=patch_size)

@@ -95,6 +95,21 @@ def vit_forward(image, config, params):
     numpy's stacked matmul runs one product per image, so each image's tokens equal
     those of a call on that image alone, bit for bit.
     """
+    *attentions, x = _blocks(image, config, params)
+    return x, attentions[-1].data
+
+
+def final_attention(image, config, params):
+    """vit_forward(image, config, params)[1], without the rest of the final block."""
+    blocks = _blocks(image, config, params)
+    for _ in range(config.blocks):
+        s = next(blocks)
+    return s.data
+
+
+def _blocks(image, config, params):
+    """Yield each block's attention Tensor, the block then finishing when resumed, and
+    after the last block the token Tensor."""
     image = image if isinstance(image, Tensor) else Tensor(image)
     lead = image.data.shape[:-3]
     if image.data.shape[-3:] != (3, config.img_h, config.img_w):
@@ -114,19 +129,19 @@ def vit_forward(image, config, params):
 
     heads, d = config.heads, config.head_dim
     scale = 1.0 / np.sqrt(d)
+
+    def split(h, w):  # head m owns columns m*d:(m+1)*d: [..., T+1, C] -> [..., heads, T+1, d]
+        return (h @ params[w]).reshape(*lead, t + 1, heads, d).swapaxes(-3, -2)
+
     for u in range(config.blocks):
         b = f"blk{u}."
         h = ad.layernorm(x)
-        # head m owns columns m*d:(m+1)*d of each projection:
-        # [..., T+1, C] -> [..., heads, T+1, d]
-        q, k, v = (
-            (h @ params[b + w]).reshape(*lead, t + 1, heads, d).swapaxes(-3, -2)
-            for w in ("wq", "wk", "wv")
-        )
+        q, k = split(h, b + "wq"), split(h, b + "wk")
         s = ad.softmax((q @ k.swapaxes(-1, -2)) * scale)
-        merged = (s @ v).swapaxes(-3, -2).reshape(*lead, t + 1, c)
+        yield s
+        merged = (s @ split(h, b + "wv")).swapaxes(-3, -2).reshape(*lead, t + 1, c)
         x = x + merged @ params[b + "wo"]
         h2 = ad.layernorm(x)
         hidden = ad.relu(h2 @ params[b + "mlp1.w"] + params[b + "mlp1.b"])
         x = x + (hidden @ params[b + "mlp2.w"] + params[b + "mlp2.b"])
-    return x, s.data
+    yield x

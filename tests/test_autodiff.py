@@ -523,3 +523,84 @@ class TestTensorMethodGradients:
             return (y * Tensor(np.linspace(-1.0, 2.0, y.data.size).reshape(y.shape))).sum()
 
         check_gradients(weighted, [rng.standard_normal(shape)])
+
+
+def _maxpool2_reference(x):
+    """maxpool2 by argmax over each window's four values in row-major order: the first
+    maximum (the first NaN, if any) gives the value and takes the gradient."""
+    x = ad._as_tensor(x)
+    *lead, h, w = x.data.shape
+    win = x.data.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
+    flat = win.reshape(*lead, h // 2, w // 2, 4)
+    arg = flat.argmax(axis=-1)
+
+    def grad(g):
+        gflat = np.zeros_like(flat)
+        np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
+        gwin = gflat.reshape(*lead, h // 2, w // 2, 2, 2).swapaxes(-3, -2)
+        return gwin.reshape(x.data.shape)
+
+    return ad._op(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], (x,), (grad,))
+
+
+# few distinct values make ties likely; +0.0 and -0.0 tie with different bytes
+_POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]) | st.floats(
+    allow_nan=False, width=64)
+
+
+class TestMaxpool2Reference:
+    @settings(max_examples=300, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), half=st.tuples(
+        st.integers(1, 3), st.integers(1, 3)), nan=st.booleans(), data=st.data())
+    def test_equals_argmax_reference(self, lead, half, nan, data):
+        shape = (*lead, 2 * half[0], 2 * half[1])
+        n = int(np.prod(shape))
+        x = np.array(data.draw(st.lists(_POOL_VALUES, min_size=n, max_size=n))).reshape(shape)
+        if nan:
+            where = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            x[np.array(where).reshape(shape)] = np.nan
+        g = np.array(data.draw(st.lists(_POOL_VALUES, min_size=n // 4, max_size=n // 4)))
+        got_x, want_x = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        got, want = ad.maxpool2(got_x), _maxpool2_reference(want_x)
+        assert np.array_equal(np.isnan(got.data), np.isnan(want.data))
+        finite = ~np.isnan(want.data)
+        assert got.data[finite].tobytes() == want.data[finite].tobytes()
+        for out in (got, want):
+            with np.errstate(all="ignore"):  # the loss's value may overflow; its gradient is g
+                loss = (out * g.reshape(out.shape)).sum()
+            loss.backward()
+        assert got_x.grad.tobytes() == want_x.grad.tobytes()
+
+    def test_signed_zero_tie_keeps_the_earlier_corner(self):
+        for window in ([[-0.0, 0.0], [0.0, 0.0]], [[0.0, -0.0], [-0.0, -0.0]]):
+            x = Tensor(np.array(window)[None], requires_grad=True)
+            out = ad.maxpool2(x)
+            assert np.signbit(out.data[0, 0, 0]) == np.signbit(window[0][0])
+            out.sum().backward()
+            assert x.grad[0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+
+class TestNoGrad:
+    def test_op_on_a_parameter_returns_a_leaf(self):
+        p = Parameter(np.ones((2, 2)))
+        with ad.no_grad():
+            out = ad.relu(p @ p + p)
+        assert not out.requires_grad and out._parents == ()
+        assert np.array_equal(out.data, np.full((2, 2), 3.0))
+
+    def test_flag_restored_after_the_block(self):
+        p = Parameter(np.ones(2))
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not (p * 2.0).requires_grad  # the inner exit restores "off"
+        assert (p * 2.0).requires_grad
+
+    def test_flag_restored_after_an_exception(self):
+        p = Parameter(np.ones(2))
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        out = (p * 2.0).sum()
+        out.backward()
+        assert np.array_equal(p.grad, [2.0, 2.0])

@@ -3,6 +3,7 @@ import pytest
 
 from gscomm.masking import (
     SemanticMask,
+    _bilinear_taps,
     apply_mask,
     bilinear_resize,
     build_semantic_mask,
@@ -68,6 +69,47 @@ class TestBilinearResize:
         assert np.array_equal(bilinear_resize(grid[:1], (3, 3)), np.repeat(grid[:1], 3, axis=0))
         assert np.array_equal(bilinear_resize(grid, (1, 3)), grid[:1])
         assert np.array_equal(bilinear_resize(grid, (2, 1)), grid[:, :1])
+
+
+def _bilinear_reference(grid, target):
+    """bilinear_resize with its taps computed afresh on every call."""
+    grid = np.asarray(grid, dtype=np.float64)
+    h, w = grid.shape[-2:]
+    H, W = target
+    ys = np.linspace(0.0, h - 1.0, H)
+    xs = np.linspace(0.0, w - 1.0, W)
+    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    y0, y1 = y0[:, None], y1[:, None]
+    return (
+        grid[..., y0, x0] * (1 - fy) * (1 - fx)
+        + grid[..., y0, x1] * (1 - fy) * fx
+        + grid[..., y1, x0] * fy * (1 - fx)
+        + grid[..., y1, x1] * fy * fx
+    )
+
+
+class TestBilinearTaps:
+    def test_cached_taps_are_read_only(self):
+        bilinear_resize(np.ones((4, 4)), (32, 32))
+        for tap in _bilinear_taps(4, 4, 32, 32):
+            with pytest.raises(ValueError, match="read-only"):
+                tap[(0,) * tap.ndim] = 7
+
+    @pytest.mark.parametrize("h", [1, 2, 4])
+    @pytest.mark.parametrize("w", [1, 4])
+    @pytest.mark.parametrize("H", [1, 7, 32])
+    @pytest.mark.parametrize("W", [1, 32])
+    def test_cached_output_equals_fresh_taps(self, rng, h, w, H, W):
+        grid = rng.random((2, 3, h, w)) * 4.0
+        want = _bilinear_reference(grid, (H, W))
+        for _ in range(2):  # the first call may fill the cache, the second reads it
+            got = bilinear_resize(grid, (H, W))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBuildSemanticMask:
